@@ -142,19 +142,20 @@ func runSmallCrawl(b *testing.B, w *blgen.World, seed int64, cooldown time.Durat
 	if err != nil {
 		b.Fatal(err)
 	}
-	sock, err := swarm.Net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
+	vantage := iputil.MustParseAddr("198.18.0.1")
+	sock, err := swarm.Listen(netsim.Endpoint{Addr: vantage, Port: 9999})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := crawler.New(sock, dht.SimClock(swarm.Clock), crawler.Config{
+	c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantage)), crawler.Config{
 		Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
 		Scope:     scope.Covers,
 		Cooldown:  cooldown,
 		Seed:      seed,
 	})
-	swarm.Clock.RunFor(time.Minute)
+	swarm.RunFor(time.Minute)
 	c.Start()
-	swarm.Clock.RunFor(12 * time.Hour)
+	swarm.RunFor(12 * time.Hour)
 	c.Stop()
 	return c
 }
@@ -182,18 +183,19 @@ func BenchmarkAblationChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sock, err := swarm.Net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
+			vantage := iputil.MustParseAddr("198.18.0.1")
+			sock, err := swarm.Listen(netsim.Endpoint{Addr: vantage, Port: 9999})
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := crawler.New(sock, dht.SimClock(swarm.Clock), crawler.Config{
+			c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantage)), crawler.Config{
 				Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
 				Scope:     scope.Covers,
 				Seed:      1,
 			})
-			swarm.Clock.RunFor(time.Minute)
+			swarm.RunFor(time.Minute)
 			c.Start()
-			swarm.Clock.RunFor(12 * time.Hour)
+			swarm.RunFor(12 * time.Hour)
 			c.Stop()
 			falsePos := 0
 			for _, o := range c.NATed() {

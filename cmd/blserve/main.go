@@ -211,92 +211,70 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}, reg)
 	}
 
-	var (
-		handler http.Handler
-		rels    []*reloader
-	)
-	if len(datasets) > 0 {
-		reg := obs.NewRegistry()
-		manifest := obs.NewManifest()
-		if *datasetFaults != "" {
-			manifest.FaultScenario = *datasetFaults
-		}
-		registry := reuseapi.NewRegistry()
-		registry.Obs = reg
-		registry.EnablePprof = *pprofOn
-		for i, spec := range datasets {
-			data, stamps, err := loadDataset(spec.natedF, spec.dynF)
+	// Every mode serves through one Registry: -dataset registers named
+	// datasets, while -nated/-dynamic and -generate serve one unnamed dataset
+	// that keeps the classic routes, metric names and /readyz body.
+	specs := datasets
+	if len(specs) == 0 {
+		specs = []datasetSpec{{natedF: opts.natedF, dynF: opts.dynF}}
+	}
+	reg := obs.NewRegistry()
+	manifest := obs.NewManifest()
+	registry := reuseapi.NewRegistry()
+	var rels []*reloader
+	for i, spec := range specs {
+		var (
+			data   *reuseapi.Dataset
+			stamps map[string]fileStamp
+			err    error
+		)
+		if spec.name == "" {
+			data, stamps, manifest, err = buildDataset(opts, reg)
+		} else {
+			data, stamps, err = loadDataset(spec.natedF, spec.dynF)
 			if err != nil {
-				fmt.Fprintf(stderr, "blserve: dataset %s: %v\n", spec.name, err)
-				return 1
+				err = fmt.Errorf("dataset %s: %w", spec.name, err)
 			}
-			srv := reuseapi.NewServer(data)
-			srv.Obs = reg
-			srv.Shed = shedConfig(spec.name, reg)
-			if err := registry.Register(spec.name, srv); err != nil {
-				fmt.Fprintln(stderr, "blserve:", err)
-				return 1
-			}
-			rels = append(rels, newReloader(spec.name, i == 0, spec.natedF, spec.dynF,
-				opts.watch, opts.watchInterval, srv, reg, srv.Shed, data, stamps))
-			fmt.Fprintf(stdout, "dataset %s: %d NATed addresses, %d dynamic prefixes%s\n",
-				spec.name, len(data.NATUsers), data.DynamicPrefixes.Len(),
-				map[bool]string{true: " (default)"}[i == 0])
 		}
-		allRels := rels
-		registry.Manifest = func() *obs.Manifest {
-			m := *manifest
-			m.Metrics = reg.Snapshot(true)
-			// Top-level serving block describes the default dataset (so
-			// single-dataset manifest consumers keep working); the Datasets
-			// slice carries every dataset's own lifecycle block.
-			m.Serving = allRels[0].status()
-			if c := allRels[0].shed; c != nil {
-				m.Serving.Overload = c.Status()
-			}
-			for _, rel := range allRels {
-				m.Serving.Datasets = append(m.Serving.Datasets, rel.datasetStatus())
-			}
-			return &m
-		}
-		handler = registry.Handler()
-	} else {
-		data, stamps, reg, manifest, err := buildDataset(opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "blserve:", err)
 			return 1
 		}
-		if *datasetFaults != "" {
-			// Crawl provenance travels with the dataset: a list collected under
-			// a fault scenario says so in its manifest, even though the files
-			// themselves carry no such metadata.
-			manifest.FaultScenario = *datasetFaults
-		}
-
 		srv := reuseapi.NewServer(data)
 		srv.Obs = reg
-		srv.EnablePprof = *pprofOn
-		ctrl := shedConfig("", reg)
-		srv.Shed = ctrl
-
-		rel := newReloader("", true, opts.natedF, opts.dynF,
-			opts.watch, opts.watchInterval, srv, reg, ctrl, data, stamps)
-		rels = append(rels, rel)
-		// Serve the manifest with a live metric snapshot and the reload status
-		// so request counters and dataset swaps since startup are visible too.
-		srv.Manifest = func() *obs.Manifest {
-			m := *manifest
-			m.Metrics = reg.Snapshot(true)
-			m.Serving = rel.status()
-			if ctrl != nil {
-				m.Serving.Overload = ctrl.Status()
-			}
-			return &m
+		srv.Shed = shedConfig(spec.name, reg)
+		if spec.name == "" {
+			registry = reuseapi.NewUnnamedRegistry(srv)
+			fmt.Fprintf(stdout, "serving %d NATed addresses and %d dynamic prefixes\n",
+				len(data.NATUsers), data.DynamicPrefixes.Len())
+		} else if err := registry.Register(spec.name, srv); err != nil {
+			fmt.Fprintln(stderr, "blserve:", err)
+			return 1
+		} else {
+			fmt.Fprintf(stdout, "dataset %s: %d NATed addresses, %d dynamic prefixes%s\n",
+				spec.name, len(data.NATUsers), data.DynamicPrefixes.Len(),
+				map[bool]string{true: " (default)"}[i == 0])
 		}
-		fmt.Fprintf(stdout, "serving %d NATed addresses and %d dynamic prefixes\n",
-			len(data.NATUsers), data.DynamicPrefixes.Len())
-		handler = srv.Handler()
+		rels = append(rels, newReloader(spec.name, i == 0, spec.natedF, spec.dynF,
+			opts.watch, opts.watchInterval, srv, reg, srv.Shed, data, stamps))
 	}
+	if *datasetFaults != "" {
+		// Crawl provenance travels with the dataset: a list collected under
+		// a fault scenario says so in its manifest, even though the files
+		// themselves carry no such metadata.
+		manifest.FaultScenario = *datasetFaults
+	}
+	registry.Obs = reg
+	registry.EnablePprof = *pprofOn
+	// Serve the manifest with a live metric snapshot and the reload status,
+	// so request counters and dataset swaps since startup are visible too.
+	registry.Manifest = func() *obs.Manifest {
+		m := *manifest
+		m.Metrics = reg.Snapshot(true)
+		m.Serving = servingStatus(rels)
+		return &m
+	}
+	handler := registry.Handler()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -509,19 +487,6 @@ func (r *reloader) setError(err error) {
 	}
 }
 
-// status returns the classic top-level serving block for the manifest.
-func (r *reloader) status() *obs.ServingStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &obs.ServingStatus{
-		Watching:         r.watching,
-		Reloads:          r.st.Reloads,
-		LastReload:       r.st.LastReload,
-		LastError:        r.st.LastError,
-		DatasetGenerated: r.st.Generated,
-	}
-}
-
 // datasetStatus returns this dataset's own lifecycle block, sized from the
 // live snapshot.
 func (r *reloader) datasetStatus() obs.DatasetServingStatus {
@@ -538,18 +503,38 @@ func (r *reloader) datasetStatus() obs.DatasetServingStatus {
 	return st
 }
 
-// buildDataset assembles the dataset to serve, either from on-disk lists or
-// from a fresh synthetic study.
-func buildDataset(opts serveOptions) (*reuseapi.Dataset, map[string]fileStamp, *obs.Registry, *obs.Manifest, error) {
-	reg := obs.NewRegistry()
-	manifest := obs.NewManifest()
+// servingStatus is the manifest's serving block. Its top-level fields
+// describe the default dataset, so single-dataset manifest consumers keep
+// working; named datasets each add their own lifecycle block.
+func servingStatus(rels []*reloader) *obs.ServingStatus {
+	def := rels[0].datasetStatus()
+	st := &obs.ServingStatus{
+		Watching:         rels[0].watching,
+		Reloads:          def.Reloads,
+		LastReload:       def.LastReload,
+		LastError:        def.LastError,
+		DatasetGenerated: def.Generated,
+		Overload:         def.Overload,
+	}
+	if rels[0].name != "" {
+		for _, rel := range rels {
+			st.Datasets = append(st.Datasets, rel.datasetStatus())
+		}
+	}
+	return st
+}
+
+// buildDataset assembles the unnamed dataset, either from on-disk lists or
+// from a fresh synthetic study recording into reg. It returns the run
+// manifest: the study's, or a fresh one for files.
+func buildDataset(opts serveOptions, reg *obs.Registry) (*reuseapi.Dataset, map[string]fileStamp, *obs.Manifest, error) {
 	switch {
 	case opts.generate:
 		wp := blgen.DefaultParams(opts.seed)
 		wp.Scale = opts.scale
 		study := core.NewStudy(core.Config{Seed: opts.seed, World: &wp, SkipICMP: true, Obs: reg})
 		if _, err := study.Run(); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		data := &reuseapi.Dataset{
 			NATUsers:        map[iputil.Addr]int{},
@@ -559,15 +544,15 @@ func buildDataset(opts serveOptions) (*reuseapi.Dataset, map[string]fileStamp, *
 		for _, o := range study.NATed {
 			data.NATUsers[o.Addr] = o.Users
 		}
-		return data, nil, reg, study.Manifest(), nil
+		return data, nil, study.Manifest(), nil
 	case opts.natedF != "" || opts.dynF != "":
 		data, stamps, err := loadDataset(opts.natedF, opts.dynF)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
-		return data, stamps, reg, manifest, nil
+		return data, stamps, obs.NewManifest(), nil
 	default:
-		return nil, nil, nil, nil, errors.New("provide -nated/-dynamic files or -generate")
+		return nil, nil, nil, errors.New("provide -nated/-dynamic files or -generate")
 	}
 }
 

@@ -63,7 +63,8 @@ func TestBuildDatasetFromFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, stamps, reg, manifest, err := buildDataset(serveOptions{natedF: nated, dynF: dyn})
+	reg := obs.NewRegistry()
+	data, stamps, manifest, err := buildDataset(serveOptions{natedF: nated, dynF: dyn}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +72,8 @@ func TestBuildDatasetFromFiles(t *testing.T) {
 		t.Fatalf("dataset = %d NATed, %d prefixes; want 1, 1",
 			len(data.NATUsers), data.DynamicPrefixes.Len())
 	}
-	if reg == nil || manifest == nil {
-		t.Fatal("registry or manifest is nil")
+	if manifest == nil {
+		t.Fatal("manifest is nil")
 	}
 	if len(stamps) != 2 {
 		t.Fatalf("stamps = %d files, want 2", len(stamps))
@@ -88,7 +89,7 @@ func TestBuildDatasetFromFiles(t *testing.T) {
 }
 
 func TestBuildDatasetMissingFile(t *testing.T) {
-	_, _, _, _, err := buildDataset(serveOptions{natedF: filepath.Join(t.TempDir(), "nope.txt")})
+	_, _, _, err := buildDataset(serveOptions{natedF: filepath.Join(t.TempDir(), "nope.txt")}, obs.NewRegistry())
 	if err == nil {
 		t.Fatal("missing file must error")
 	}
@@ -449,7 +450,7 @@ func TestReloaderKeepsServingOnBadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel.checkOnce()
-	st := rel.status()
+	st := rel.datasetStatus()
 	if st.LastError == "" {
 		t.Fatal("bad file did not record an error")
 	}
@@ -465,7 +466,7 @@ func TestReloaderKeepsServingOnBadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel.checkOnce()
-	st = rel.status()
+	st = rel.datasetStatus()
 	if st.Reloads != 1 || st.LastError != "" {
 		t.Errorf("recovery status = %+v", st)
 	}
@@ -708,7 +709,7 @@ func TestReloaderCatchesSameStampRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel.checkOnce()
-	if st := rel.status(); st.Reloads != 1 {
+	if st := rel.datasetStatus(); st.Reloads != 1 {
 		t.Fatalf("same-stamp rewrite not reloaded: %+v", st)
 	}
 	if v := srv.Check(mustAddr(t, "198.51.100.9")); !v.Reused {
@@ -743,7 +744,7 @@ func TestReloaderByteIdenticalRewriteKeepsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel.checkOnce()
-	if st := rel.status(); st.Reloads != 1 {
+	if st := rel.datasetStatus(); st.Reloads != 1 {
 		t.Fatalf("byte-identical rewrite not counted as a reload: %+v", st)
 	}
 	if srv.Snapshot() != before {

@@ -178,7 +178,7 @@ func TestBuildSwarmInvariants(t *testing.T) {
 		}
 	}
 	// The mapping-opening pings are queued; run them.
-	swarm.Clock.RunFor(time.Minute)
+	swarm.RunFor(time.Minute)
 	for addr, nat := range swarm.NATs {
 		truth := w.NATByIP[addr]
 		if truth.BTUsers > 0 && nat.ActiveMappings() == 0 {

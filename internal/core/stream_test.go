@@ -133,8 +133,8 @@ func TestBuildSwarmSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Group == nil || s.Clock != nil || s.Net != nil {
-		t.Fatal("sharded swarm should use the group fabric exclusively")
+	if got := len(s.Group.Shards()); got != 3 {
+		t.Fatalf("sharded swarm runs on %d shards, want 3", got)
 	}
 	start := s.Now()
 	s.RunFor(time.Minute)

@@ -21,11 +21,8 @@ import (
 
 // Swarm is the instantiated BitTorrent population.
 type Swarm struct {
-	// Clock and Net are the monolithic fabric; nil when the swarm was built
-	// sharded (use RunFor / Listen / ClockAt / NetStats, which dispatch).
-	Clock *netsim.Clock
-	Net   *netsim.Network
-	// Group is the sharded fabric; nil on the default monolithic path.
+	// Group is the fabric: one shard on the default path (byte-identical
+	// to a bare netsim clock and network), SwarmConfig.Shards otherwise.
 	Group     *netsim.ShardGroup
 	Nodes     []*dht.Node
 	Endpoints []netsim.Endpoint // public endpoints known at build time
@@ -36,59 +33,37 @@ type Swarm struct {
 	// Injector is the wire-level fault injector, nil on fault-free swarms.
 	Injector *faults.Injector
 
-	arena   dht.NodeArena // backing storage for all node state
-	compact bool          // nodes use the compact RNG (SwarmConfig.Compact)
+	// arenas back all node state, one per shard: restarts allocate nodes
+	// from shard clocks, which run concurrently, so each shard owns its
+	// node storage the way it owns its clock.
+	arenas  []dht.NodeArena
+	compact bool // nodes use the compact RNG (SwarmConfig.Compact)
 }
 
-// clockFor returns the event clock owning addr.
-func (s *Swarm) clockFor(a iputil.Addr) *netsim.Clock {
-	if s.Group != nil {
-		return s.Group.ShardFor(a).Clock
-	}
-	return s.Clock
-}
-
-// netFor returns the fabric slice owning addr.
-func (s *Swarm) netFor(a iputil.Addr) *netsim.Network {
-	if s.Group != nil {
-		return s.Group.ShardFor(a).Net
-	}
-	return s.Net
-}
-
-// RunFor advances the swarm's virtual time by d — across all shards in
-// lockstep when the fabric is sharded.
-func (s *Swarm) RunFor(d time.Duration) {
-	if s.Group != nil {
-		s.Group.RunFor(d)
-		return
-	}
-	s.Clock.RunFor(d)
-}
+// RunFor advances the swarm's virtual time by d, across all shards in
+// lockstep.
+func (s *Swarm) RunFor(d time.Duration) { s.Group.RunFor(d) }
 
 // Now returns the swarm's virtual time.
-func (s *Swarm) Now() time.Time {
-	if s.Group != nil {
-		return s.Group.Now()
-	}
-	return s.Clock.Now()
-}
+func (s *Swarm) Now() time.Time { return s.Group.Now() }
 
-// Listen binds a public endpoint on whichever fabric slice owns its address.
+// Listen binds a public endpoint on whichever shard owns its address.
 func (s *Swarm) Listen(ep netsim.Endpoint) (netsim.Socket, error) {
-	return s.netFor(ep.Addr).Listen(ep)
+	return s.Group.ShardFor(ep.Addr).Net.Listen(ep)
 }
 
 // ClockAt returns the clock owning addr; components living at a fixed
 // address (such as a crawler) must schedule on their own shard's clock.
-func (s *Swarm) ClockAt(a iputil.Addr) *netsim.Clock { return s.clockFor(a) }
+func (s *Swarm) ClockAt(a iputil.Addr) *netsim.Clock { return s.Group.ShardFor(a).Clock }
 
 // NetStats sums fabric traffic counters across shards.
-func (s *Swarm) NetStats() netsim.Stats {
-	if s.Group != nil {
-		return s.Group.Stats()
-	}
-	return s.Net.Stats()
+func (s *Swarm) NetStats() netsim.Stats { return s.Group.Stats() }
+
+// newNode allocates a DHT node at addr from its shard's arena, scheduling on
+// its shard's clock.
+func (s *Swarm) newNode(addr iputil.Addr, sock netsim.Socket, cfg dht.Config) *dht.Node {
+	sh := s.Group.ShardFor(addr)
+	return s.arenas[sh.Index()].NewNode(sock, dht.SimClock(sh.Clock), cfg)
 }
 
 // SwarmConfig tunes swarm instantiation.
@@ -119,10 +94,11 @@ type SwarmConfig struct {
 	Faults *faults.Scenario
 	// Shards > 1 partitions the fabric by /16 address block into that many
 	// independently clocked event loops advancing in conservative lockstep
-	// windows (see netsim.ShardGroup). 0 or 1 keeps the monolithic fabric,
-	// byte-identical to previous releases. Sharded runs are deterministic
-	// for a fixed shard count but draw per-shard RNG streams, so their
-	// artifacts differ from monolithic goldens. Incompatible with Faults.
+	// windows (see netsim.ShardGroup). 0 or 1 runs one shard, the
+	// monolithic fabric, byte-identical to previous releases. Sharded runs
+	// are deterministic for a fixed shard count but draw per-shard RNG
+	// streams, so their artifacts differ from monolithic goldens.
+	// Incompatible with Faults.
 	Shards int
 	// ShardWorkers bounds how many shards execute concurrently within one
 	// window; any value produces identical results. Default 1.
@@ -164,29 +140,24 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		LatencyJitter: cfg.LatencyJitter,
 		Seed:          cfg.Seed ^ 0x4e455453, // "NETS"
 	}
-	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact}
-	if cfg.Shards > 1 {
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("core: fault scenarios require the monolithic fabric (Shards <= 1)")
-		}
-		group, err := netsim.NewShardGroup(cfg.Shards, cfg.ShardWorkers, netCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.Group = group
-	} else {
-		clock := netsim.NewClock()
-		inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^0x464c5453, clock) // "FLTS"
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		inj.Install(&netCfg)
-		net, err := netsim.NewNetwork(clock, netCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.Clock, s.Net, s.Injector = clock, net, inj
+	shards := max(cfg.Shards, 1)
+	if shards > 1 && cfg.Faults != nil {
+		return nil, fmt.Errorf("core: fault scenarios require the monolithic fabric (Shards <= 1)")
 	}
+	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact}
+	// The injector reads s.Now(): the one shard's clock once the group
+	// exists, which it must hook from the start.
+	inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^0x464c5453, s) // "FLTS"
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	inj.Install(&netCfg)
+	group, err := netsim.NewShardGroup(shards, cfg.ShardWorkers, netCfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	s.Group, s.Injector = group, inj
+	s.arenas = make([]dht.NodeArena, shards)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5357524d)) // "SWRM"
 
 	var byz *faults.Byzantine
@@ -204,7 +175,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 				if truth != nil && truth.Restricted {
 					filtering = netsim.AddressRestricted
 				}
-				nat, err = netsim.NewNAT(s.netFor(u.PublicAddr), netsim.NATConfig{
+				nat, err = netsim.NewNAT(s.Group.ShardFor(u.PublicAddr).Net, netsim.NATConfig{
 					PublicAddr: u.PublicAddr,
 					Filtering:  filtering,
 					MappingTTL: cfg.NATMappingTTL,
@@ -216,7 +187,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			}
 			sock, err = nat.Listen(u.PrivateAddr, u.Port)
 		} else {
-			sock, err = s.netFor(u.PublicAddr).Listen(netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
+			sock, err = s.Listen(netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: user %d: %w", u.ID, err)
@@ -238,7 +209,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			nodeCfg.Byzantine = true
 			nodeCfg.ByzantineNodes = byz.Nodes
 		}
-		node := s.arena.NewNode(sock, dht.SimClock(s.clockFor(u.PublicAddr)), nodeCfg)
+		node := s.newNode(u.PublicAddr, sock, nodeCfg)
 		s.Nodes = append(s.Nodes, node)
 		s.Endpoints = append(s.Endpoints, netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
 	}
@@ -320,20 +291,19 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 // reboot behaviour), and rejoins via a known neighbour.
 func (s *Swarm) scheduleRestart(w *blgen.World, j int, at time.Duration, seed int64) {
 	// A restarted client keeps its address (only the port moves), so its
-	// owning clock and fabric slice never change.
-	clock := s.clockFor(s.Endpoints[j].Addr)
-	clock.After(at, func() {
+	// owning shard never changes.
+	s.ClockAt(s.Endpoints[j].Addr).After(at, func() {
 		old := s.Nodes[j]
 		oldEp := s.Endpoints[j]
 		neighbours := old.Closest(old.ID(), 4)
 		old.Close()
 		newEp := netsim.Endpoint{Addr: oldEp.Addr, Port: oldEp.Port + 1 + uint16(seed%977)}
-		sock, err := s.netFor(newEp.Addr).Listen(newEp)
+		sock, err := s.Listen(newEp)
 		if err != nil {
 			// Port collision with another binding: skip this restart.
 			return
 		}
-		node := s.arena.NewNode(sock, dht.SimClock(clock), dht.Config{
+		node := s.newNode(newEp.Addr, sock, dht.Config{
 			PrivateIP:  newEp.Addr,
 			IDSeed:     uint64(seed), // fresh random part -> fresh node ID
 			Seed:       seed,

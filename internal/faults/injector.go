@@ -37,7 +37,7 @@ type bucket struct {
 // Gilbert-Elliott state advance with that network's event order.
 type Injector struct {
 	scn   *Scenario
-	clock *netsim.Clock
+	clock interface{ Now() time.Time }
 	seed  int64
 	rng   *rand.Rand
 
@@ -46,10 +46,11 @@ type Injector struct {
 	stats   Stats
 }
 
-// NewInjector validates the scenario and builds an injector bound to the
-// given clock. A nil scenario — or one with no wire-level mechanisms —
-// yields a nil injector and no error: Install on nil is a no-op.
-func NewInjector(scn *Scenario, seed int64, clock *netsim.Clock) (*Injector, error) {
+// NewInjector validates the scenario and builds an injector reading virtual
+// time from clock — the event clock of the network it is installed on. A
+// nil scenario — or one with no wire-level mechanisms — yields a nil
+// injector and no error: Install on nil is a no-op.
+func NewInjector(scn *Scenario, seed int64, clock interface{ Now() time.Time }) (*Injector, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}

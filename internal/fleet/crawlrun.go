@@ -113,7 +113,8 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 	if err != nil {
 		return res, err
 	}
-	sock, err := swarm.Net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
+	vantage := iputil.MustParseAddr("198.18.0.1")
+	sock, err := swarm.Listen(netsim.Endpoint{Addr: vantage, Port: 9999})
 	if err != nil {
 		return res, err
 	}
@@ -141,8 +142,8 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 	}
 	ccfg.EventLog = job.EventLog
 
-	c := crawler.New(sock, dht.SimClock(swarm.Clock), ccfg)
-	swarm.Clock.RunFor(time.Minute)
+	c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantage)), ccfg)
+	swarm.RunFor(time.Minute)
 	c.Start()
 
 	snapshot := func(done bool) Snapshot {
@@ -170,7 +171,7 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 			if step > remaining {
 				step = remaining
 			}
-			swarm.Clock.RunFor(step)
+			swarm.RunFor(step)
 			remaining -= step
 			if remaining > 0 && job.Progress != nil {
 				job.Progress(snapshot(false))

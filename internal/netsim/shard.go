@@ -21,11 +21,14 @@ import (
 // clocks, so the outcome is a pure function of (seed, shard count): bit-for-
 // bit identical for any worker count or GOMAXPROCS.
 //
-// A sharded run is NOT byte-equivalent to a monolithic one: each shard draws
-// loss and jitter from its own RNG stream, so per-datagram fates differ —
-// the same equivalence boundary DESIGN.md §12 documents for the crawl fleet.
-// What is pinned instead: determinism for a fixed shard count, and
-// scheduling invariance (workers, GOMAXPROCS).
+// A one-shard group is the monolithic fabric: its shard seeds its RNG with
+// Config.Seed exactly as NewNetwork does, it accepts fault hooks, and
+// RunUntil runs its one clock straight through, so it is byte-identical to
+// a bare NewClock+NewNetwork pair. With n > 1 each shard draws loss and
+// jitter from its own RNG stream, so per-datagram fates differ from the
+// one-shard run — the same equivalence boundary DESIGN.md §12 documents for
+// the crawl fleet. What is pinned instead: determinism for a fixed shard
+// count, and scheduling invariance (workers, GOMAXPROCS).
 type ShardGroup struct {
 	shards    []*Shard
 	lookahead time.Duration
@@ -54,11 +57,11 @@ type crossMsg struct {
 	srcSeq    uint64
 }
 
-// NewShardGroup builds n shards over the given fabric config. LatencyBase
-// must be positive — it is the lookahead that makes conservative windowing
-// sound. Fault hooks are rejected: injectors are stateful in event order
-// across the whole fabric, which a partitioned fabric cannot replay (run
-// fault scenarios on the monolithic path). workers bounds how many shards
+// NewShardGroup builds n shards over the given fabric config. With n > 1,
+// LatencyBase must be positive — it is the lookahead that makes conservative
+// windowing sound — and fault hooks are rejected: injectors are stateful in
+// event order across the whole fabric, which a partitioned fabric cannot
+// replay (run fault scenarios on one shard). workers bounds how many shards
 // execute concurrently inside one window; any value yields identical
 // results. A shared Trace hook forces sequential windows (the hook would
 // race otherwise) but changes no outcome.
@@ -66,11 +69,11 @@ func NewShardGroup(n, workers int, cfg Config) (*ShardGroup, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("netsim: shard count %d < 1", n)
 	}
-	if cfg.LatencyBase <= 0 {
+	if n > 1 && cfg.LatencyBase <= 0 {
 		return nil, fmt.Errorf("netsim: sharding requires positive LatencyBase lookahead")
 	}
-	if cfg.FaultSend != nil || cfg.FaultDeliver != nil {
-		return nil, fmt.Errorf("netsim: fault hooks are not supported on sharded fabrics")
+	if n > 1 && (cfg.FaultSend != nil || cfg.FaultDeliver != nil) {
+		return nil, fmt.Errorf("netsim: fault hooks are only supported on a one-shard fabric")
 	}
 	if workers < 1 || cfg.Trace != nil {
 		workers = 1
@@ -81,16 +84,20 @@ func NewShardGroup(n, workers int, cfg Config) (*ShardGroup, error) {
 	g := &ShardGroup{lookahead: cfg.LatencyBase, workers: workers, now: Epoch}
 	for i := 0; i < n; i++ {
 		shardCfg := cfg
-		// Distinct RNG stream per shard; splitmix increment keeps streams
-		// decorrelated even for adjacent indices.
-		shardCfg.Seed = cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
+		if n > 1 {
+			// Distinct RNG stream per shard; splitmix increment keeps
+			// streams decorrelated even for adjacent indices.
+			shardCfg.Seed = cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
+		}
 		clock := NewClock()
 		net, err := NewNetwork(clock, shardCfg)
 		if err != nil {
 			return nil, err
 		}
 		sh := &Shard{Clock: clock, Net: net, group: g, index: i, out: make([][]crossMsg, n)}
-		net.forward = sh.forward
+		if n > 1 {
+			net.forward = sh.forward
+		}
 		g.shards = append(g.shards, sh)
 	}
 	return g, nil
@@ -100,6 +107,9 @@ func NewShardGroup(n, workers int, cfg Config) (*ShardGroup, error) {
 // block%n == i).
 func (g *ShardGroup) Shards() []*Shard { return g.shards }
 
+// Index returns the shard's position in Shards().
+func (sh *Shard) Index() int { return sh.index }
+
 // ShardFor returns the shard owning addr. Ownership is by /16 block so one
 // gateway's NAT and its whole pool stay on one shard.
 func (g *ShardGroup) ShardFor(addr iputil.Addr) *Shard {
@@ -107,8 +117,14 @@ func (g *ShardGroup) ShardFor(addr iputil.Addr) *Shard {
 }
 
 // Now returns the group's barrier time; all shard clocks sit at this
-// instant between RunFor/RunUntil calls.
-func (g *ShardGroup) Now() time.Time { return g.now }
+// instant between RunFor/RunUntil calls. A one-shard group has no barriers:
+// its time is its clock's, also while events run.
+func (g *ShardGroup) Now() time.Time {
+	if len(g.shards) == 1 {
+		return g.shards[0].Clock.Now()
+	}
+	return g.now
+}
 
 // Stats sums traffic counters across shards.
 func (g *ShardGroup) Stats() Stats {
@@ -144,10 +160,15 @@ func (sh *Shard) forward(deliverAt time.Time, from, to Endpoint, payload []byte)
 }
 
 // RunFor advances every shard by d in lockstep windows.
-func (g *ShardGroup) RunFor(d time.Duration) { g.RunUntil(g.now.Add(d)) }
+func (g *ShardGroup) RunFor(d time.Duration) { g.RunUntil(g.Now().Add(d)) }
 
 // RunUntil advances every shard to t.
 func (g *ShardGroup) RunUntil(t time.Time) {
+	if len(g.shards) == 1 {
+		// No datagram can cross shards, so no barrier is needed.
+		g.shards[0].Clock.RunUntil(t)
+		return
+	}
 	for {
 		g.drain()
 		if !g.now.Before(t) {

@@ -10,11 +10,15 @@ import (
 )
 
 // shardScript runs a deterministic ping-pong workload over a sharded fabric
-// and returns a transcript of every delivery: a small mesh of echo nodes
+// and returns one delivery transcript per shard: a small mesh of echo nodes
 // spread across /16 blocks (so they land on different shards), each pinging
-// every other node a few times. The transcript captures delivery order and
-// payload bytes, so any nondeterminism in the barrier protocol shows up.
-func shardScript(t *testing.T, shards, workers int, seed int64) []string {
+// every other node a few times. Each shard's handlers append only to that
+// shard's transcript — shards run concurrently inside a window, so a single
+// shared log would order cross-shard events by goroutine scheduling. The
+// per-shard order (delivery instant, payload bytes) is exactly what
+// ShardGroup promises to keep fixed, so any nondeterminism in the barrier
+// protocol shows up. Deliveries that crossed a shard boundary are tagged "x".
+func shardScript(t *testing.T, shards, workers int, seed int64) [][]string {
 	t.Helper()
 	g, err := NewShardGroup(shards, workers, Config{
 		Loss:          0.1,
@@ -31,7 +35,7 @@ func shardScript(t *testing.T, shards, workers int, seed int64) []string {
 	for b := 0; b < 8; b++ {
 		eps = append(eps, Endpoint{Addr: iputil.Addr(uint32(b)<<16 | 10), Port: 7000})
 	}
-	var log []string
+	logs := make([][]string, shards)
 	socks := make([]Socket, len(eps))
 	for i, ep := range eps {
 		sh := g.ShardFor(ep.Addr)
@@ -41,8 +45,12 @@ func shardScript(t *testing.T, shards, workers int, seed int64) []string {
 		}
 		i := i
 		s.SetHandler(func(from Endpoint, payload []byte) {
-			log = append(log, fmt.Sprintf("%s n%d<-%s %q",
-				sh.Clock.Now().Format("15:04:05.000"), i, from, payload))
+			tag := " "
+			if g.ShardFor(from.Addr) != sh {
+				tag = "x"
+			}
+			logs[sh.Index()] = append(logs[sh.Index()], fmt.Sprintf("%s %s n%d<-%s %q",
+				tag, sh.Clock.Now().Format("15:04:05.000"), i, from, payload))
 			// Echo once so traffic keeps crossing shard boundaries.
 			if len(payload) < 12 {
 				socks[i].Send(from, append([]byte("re:"), payload...))
@@ -67,38 +75,52 @@ func shardScript(t *testing.T, shards, workers int, seed int64) []string {
 			t.Fatalf("shard clock %v out of lockstep with group %v", sh.Clock.Now(), g.Now())
 		}
 	}
-	return log
+	return logs
+}
+
+// requireSameTranscripts fails unless every shard's transcript in got equals
+// the one in want, line for line.
+func requireSameTranscripts(t *testing.T, label string, got, want [][]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d shard transcripts, want %d", label, len(got), len(want))
+	}
+	for sh := range want {
+		if len(got[sh]) != len(want[sh]) {
+			t.Fatalf("%s: shard %d logged %d deliveries, want %d", label, sh, len(got[sh]), len(want[sh]))
+		}
+		for i := range want[sh] {
+			if got[sh][i] != want[sh][i] {
+				t.Fatalf("%s: shard %d transcript diverges at %d:\n got %s\nwant %s",
+					label, sh, i, got[sh][i], want[sh][i])
+			}
+		}
+	}
 }
 
 // TestShardGroupDeterministic pins that a sharded run is a pure function of
 // (seed, shard count): repeated runs and different worker counts must produce
-// identical delivery transcripts.
+// identical per-shard delivery transcripts.
 func TestShardGroupDeterministic(t *testing.T) {
 	base := shardScript(t, 4, 1, 42)
-	if len(base) == 0 {
-		t.Fatal("workload produced no deliveries")
-	}
-	crossed := false
-	for _, line := range base {
-		if line != "" {
-			crossed = true
-			break
-		}
-	}
-	if !crossed {
-		t.Fatal("no cross-shard traffic observed")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got := shardScript(t, 4, workers, 42)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d deliveries, want %d", workers, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: transcript diverges at %d:\n got %s\nwant %s",
-					workers, i, got[i], base[i])
+	deliveries, crossed := 0, 0
+	for _, log := range base {
+		deliveries += len(log)
+		for _, line := range log {
+			if line[0] == 'x' {
+				crossed++
 			}
 		}
+	}
+	if deliveries == 0 {
+		t.Fatal("workload produced no deliveries")
+	}
+	if crossed == 0 {
+		t.Fatal("no cross-shard traffic observed")
+	}
+	requireSameTranscripts(t, "repeat run", shardScript(t, 4, 1, 42), base)
+	for _, workers := range []int{2, 4, 8} {
+		requireSameTranscripts(t, fmt.Sprintf("workers=%d", workers), shardScript(t, 4, workers, 42), base)
 	}
 }
 
@@ -108,15 +130,7 @@ func TestShardGroupGOMAXPROCSInvariance(t *testing.T) {
 	base := shardScript(t, 4, 4, 7)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	got := shardScript(t, 4, 4, 7)
-	if len(got) != len(base) {
-		t.Fatalf("GOMAXPROCS=1: %d deliveries, want %d", len(got), len(base))
-	}
-	for i := range got {
-		if got[i] != base[i] {
-			t.Fatalf("GOMAXPROCS=1 diverges at %d:\n got %s\nwant %s", i, got[i], base[i])
-		}
-	}
+	requireSameTranscripts(t, "GOMAXPROCS=1", shardScript(t, 4, 4, 7), base)
 }
 
 // TestShardGroupLookaheadSafety drives zero-jitter traffic timed exactly on

@@ -16,38 +16,41 @@ import (
 	"github.com/reuseblock/reuseblock/internal/shed"
 )
 
+// acceptsGzipCases is the Accept-Encoding table: TestAcceptsGzipQualities's
+// cases and FuzzAcceptsGzip's seed corpus.
+var acceptsGzipCases = []struct {
+	header string
+	want   bool
+}{
+	{"", false},
+	{"identity", false},
+	{"gzip", true},
+	{"gzip, deflate, br", true},
+	{"deflate, gzip", true},
+	{"*", true},
+	{"gzip;q=1", true},
+	{"gzip;q=0.5", true},
+	{"gzip; q=0.5", true},
+	{"gzip;q=0", false},
+	{"gzip;q=0.0", false},
+	{"gzip;q=0.00", false},
+	{"gzip;q=0.000", false},
+	{"gzip; q=0.0", false},
+	{"gzip;Q=0", false},
+	{"*;q=0", false},
+	{"gzip;q=0.001", true},
+	{"gzip;q=0.010", true},
+	{"gzip;q=junk", true}, // malformed weight: default weight 1 applies
+	{"identity;q=0, gzip;q=0.0", false},
+	{"identity;q=0, gzip;q=0.2", true},
+}
+
 // TestAcceptsGzipQualities pins the RFC 9110 qvalue handling: a zero weight
 // in any of its spellings is a refusal, anything else (absent, positive,
 // malformed) accepts. The q=0.0 case is the regression: it used to be read
 // as acceptance because only the literal "q=0" was recognised as zero.
 func TestAcceptsGzipQualities(t *testing.T) {
-	cases := []struct {
-		header string
-		want   bool
-	}{
-		{"", false},
-		{"identity", false},
-		{"gzip", true},
-		{"gzip, deflate, br", true},
-		{"deflate, gzip", true},
-		{"*", true},
-		{"gzip;q=1", true},
-		{"gzip;q=0.5", true},
-		{"gzip; q=0.5", true},
-		{"gzip;q=0", false},
-		{"gzip;q=0.0", false},
-		{"gzip;q=0.00", false},
-		{"gzip;q=0.000", false},
-		{"gzip; q=0.0", false},
-		{"gzip;Q=0", false},
-		{"*;q=0", false},
-		{"gzip;q=0.001", true},
-		{"gzip;q=0.010", true},
-		{"gzip;q=junk", true}, // malformed weight: default weight 1 applies
-		{"identity;q=0, gzip;q=0.0", false},
-		{"identity;q=0, gzip;q=0.2", true},
-	}
-	for _, tc := range cases {
+	for _, tc := range acceptsGzipCases {
 		r := httptest.NewRequest("GET", "/v1/list", nil)
 		if tc.header != "" {
 			r.Header.Set("Accept-Encoding", tc.header)
@@ -355,6 +358,46 @@ func TestRegistryUnprefixedAliasByteIdentity(t *testing.T) {
 	gh.ServeHTTP(urec, httptest.NewRequest("GET", "/v1/list", nil))
 	if !bytes.Equal(nrec.Body.Bytes(), urec.Body.Bytes()) {
 		t.Error("/v1/main/list diverges from /v1/list")
+	}
+}
+
+// TestUnnamedRegistryRoutes pins the single-dataset shape of an unnamed
+// registry: the classic routes answer, every other /v1/ path — including
+// ones a named registry would read as /v1/{dataset}/{endpoint} — is the
+// mux's plain-text 404, metric names carry no dataset label, and no named
+// dataset can be added beside it.
+func TestUnnamedRegistryRoutes(t *testing.T) {
+	srv := NewServer(goldenDataset(3, 50, 5))
+	srv.Obs = obs.NewRegistry()
+	g := NewUnnamedRegistry(srv)
+	g.Obs = srv.Obs
+	if err := g.Register("extra", NewServer(&Dataset{})); err == nil {
+		t.Error("Register beside the unnamed dataset accepted")
+	}
+	if got := g.Names(); len(got) != 1 || got[0] != "" || g.DefaultName() != "" {
+		t.Errorf("Names = %q, DefaultName = %q", got, g.DefaultName())
+	}
+	h := g.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	if rec := get("/v1/check?ip=192.0.2.1"); rec.Code != 200 {
+		t.Fatalf("/v1/check = %d", rec.Code)
+	}
+	for _, path := range []string{"/v1/a/b", "/v1/check/", "/v1/default/check?ip=192.0.2.1", "/v1/"} {
+		rec := get(path)
+		if rec.Code != 404 || rec.Body.String() != "404 page not found\n" {
+			t.Errorf("%s = %d %q, want the mux's plain 404", path, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := get("/v1//check?ip=192.0.2.1"); rec.Code != http.StatusMovedPermanently {
+		t.Errorf("/v1//check = %d, want the mux's path-cleaning redirect", rec.Code)
+	}
+	metrics := get("/metrics").Body.String()
+	if !strings.Contains(metrics, `wall_api_requests_total{endpoint="check"} 1`) || strings.Contains(metrics, "dataset=") {
+		t.Errorf("unnamed metrics must be unlabeled:\n%s", metrics)
 	}
 }
 

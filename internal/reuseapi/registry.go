@@ -17,6 +17,11 @@ import (
 // at the classic unprefixed /v1/{endpoint} routes, so single-dataset
 // clients never notice the difference.
 //
+// A registry built by NewUnnamedRegistry instead holds one unnamed dataset:
+// the single-dataset server. It answers only at the unprefixed routes (any
+// other /v1/ path is the mux's plain 404), with unlabeled metric names and
+// the classic /readyz body.
+//
 // Registration happens once at startup, before Handler; after that the
 // registry is read-only and requests touch no locks beyond each server's
 // snapshot pointer. Per-dataset updates go through the registered *Server
@@ -39,6 +44,15 @@ func NewRegistry() *Registry {
 	return &Registry{named: make(map[string]*Server)}
 }
 
+// NewUnnamedRegistry returns a registry serving srv as its one unnamed
+// dataset; Register on it fails.
+func NewUnnamedRegistry(srv *Server) *Registry {
+	return &Registry{named: map[string]*Server{"": srv}, order: []string{""}}
+}
+
+// unnamed reports whether the registry holds NewUnnamedRegistry's dataset.
+func (g *Registry) unnamed() bool { return len(g.order) == 1 && g.order[0] == "" }
+
 // endpointNames are the path segments that terminate a /v1/ route; a
 // dataset must not shadow them, or /v1/{dataset}/... and /v1/{endpoint}
 // would collide.
@@ -51,6 +65,9 @@ var endpointNames = map[string]bool{
 // they are restricted to lowercase letters, digits, '-', '_' and '.', and
 // must not shadow an endpoint name.
 func (g *Registry) Register(name string, srv *Server) error {
+	if g.unnamed() {
+		return fmt.Errorf("dataset %q: registry serves an unnamed dataset", name)
+	}
 	if err := validDatasetName(name); err != nil {
 		return err
 	}
@@ -91,7 +108,8 @@ func (g *Registry) Names() []string {
 	return append([]string(nil), g.order...)
 }
 
-// DefaultName returns the default dataset's name ("" when none registered).
+// DefaultName returns the default dataset's name ("" when none registered,
+// or when the registry is unnamed).
 func (g *Registry) DefaultName() string {
 	if len(g.order) == 0 {
 		return ""
@@ -107,13 +125,18 @@ func (g *Registry) Handler() http.Handler {
 		panic("reuseapi: Registry.Handler with no datasets registered")
 	}
 	mux := http.NewServeMux()
-	h := &registryHandler{mux: mux, eps: make(map[string]*endpointSet, len(g.named))}
+	eps := make(map[string]*endpointSet, len(g.named))
 	for _, name := range g.order {
 		es := g.named[name].endpoints(name)
-		h.eps[name] = &es
+		eps[name] = &es
 	}
-	h.def = h.eps[g.order[0]]
+	h := &registryHandler{mux: mux, def: eps[g.order[0]]}
+	if !g.unnamed() {
+		h.named = eps
+	}
 	if g.anyShed() {
+		// The health probes bypass admission — a load balancer must be
+		// able to probe an overloaded server.
 		mux.HandleFunc("/healthz", g.handleHealthz)
 		mux.HandleFunc("/readyz", g.handleReadyz)
 	}
@@ -138,20 +161,25 @@ func (g *Registry) anyShed() bool {
 	return false
 }
 
-// registryHandler routes /v1/{endpoint} to the default dataset and
-// /v1/{dataset}/{endpoint} to the named one, falling back to the mux for
-// everything else. Dispatch is two string cuts and two map probes — no
-// per-request allocation, same shape as the single-server fast path.
+// registryHandler routes /v1/{endpoint} to the default dataset and, unless
+// the registry is unnamed, /v1/{dataset}/{endpoint} to the named one,
+// falling back to the mux for everything else. Dispatch is a string cut, an
+// exact-name switch and, for named routes, a map probe — no per-request
+// allocation, and the mux's routing tree is never walked for the API.
 type registryHandler struct {
-	mux *http.ServeMux
-	eps map[string]*endpointSet
-	def *endpointSet
+	mux   *http.ServeMux
+	def   *endpointSet
+	named map[string]*endpointSet // nil when unnamed
 }
 
 func (h *registryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			if es, ok := h.eps[rest[:i]]; ok {
+		if hf := h.def.lookup(rest); hf != nil {
+			hf(w, r)
+			return
+		}
+		if i := strings.IndexByte(rest, '/'); i >= 0 && h.named != nil {
+			if es, ok := h.named[rest[:i]]; ok {
 				if hf := es.lookup(rest[i+1:]); hf != nil {
 					hf(w, r)
 					return
@@ -162,25 +190,24 @@ func (h *registryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "unknown dataset", rest[:i])
 			return
 		}
-		if hf := h.def.lookup(rest); hf != nil {
-			hf(w, r)
-			return
-		}
 	}
 	h.mux.ServeHTTP(w, r)
 }
 
-// handleHealthz is liveness for the whole process, as in the single-dataset
-// server: up and serving HTTP means 200.
+// handleHealthz is liveness for the whole process: up and serving HTTP
+// means 200 — degraded is an overload posture, not a death.
 func (g *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	setContentTypeJSON(w)
 	_, _ = w.Write([]byte("{\"status\":\"ok\"}\n"))
 }
 
 // handleReadyz aggregates readiness over every dataset with admission
-// control: one degraded dataset makes the whole replica not-ready (load
-// balancers drain per process, not per path), and the 503 body names the
-// degraded datasets so operators see which feed is in trouble.
+// control: 200 while all serve normally, 503 + Retry-After once one is
+// degraded, so load balancers drain this replica (per process, not per
+// path) until it recovers. The 503 body names the degraded datasets so
+// operators see which feed is in trouble; an unnamed registry answers the
+// classic single-dataset body. Each probe re-evaluates the mode machines,
+// so readiness polling alone is enough to drive recovery after a flood.
 func (g *Registry) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var degraded []string
 	var first *shed.Controller
@@ -200,6 +227,10 @@ func (g *Registry) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Retry-After", strconv.Itoa(first.RetryAfterSeconds()))
 	setContentTypeJSON(w)
 	w.WriteHeader(http.StatusServiceUnavailable)
+	if g.unnamed() {
+		_, _ = w.Write([]byte("{\"ready\":false,\"mode\":\"degraded\"}\n"))
+		return
+	}
 	_, _ = w.Write(encodeJSONLine(struct {
 		Ready    bool     `json:"ready"`
 		Mode     string   `json:"mode"`

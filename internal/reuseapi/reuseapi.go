@@ -10,9 +10,10 @@
 //	GET  /v1/stats                 -> dataset summary
 //	GET  /v1/greylist?ip=192.0.2.7 -> verdict + recommended action/expiry (§6 mitigation)
 //
-// A Registry (registry.go) serves many named datasets behind one mux: every
-// endpoint is also reachable at /v1/{dataset}/..., with the unprefixed
-// routes aliasing the default dataset.
+// Every handler is a Registry (registry.go): either many named datasets
+// behind one mux, every endpoint also reachable at /v1/{dataset}/... with
+// the unprefixed routes aliasing the default dataset, or — Server.Handler —
+// one unnamed dataset at the unprefixed routes only.
 //
 // The serving path is built around an immutable compiled Snapshot per
 // dataset (see snapshot.go): handlers read one atomic pointer, do a binary
@@ -79,7 +80,7 @@ const MaxBatchIPs = 10_000
 
 // Server wraps a Dataset with HTTP handlers. Safe for concurrent use; the
 // dataset can be swapped atomically with Update. The exported fields are
-// optional observability hooks; set them before calling Handler.
+// optional hooks; set them before building a handler.
 type Server struct {
 	snap atomic.Pointer[Snapshot]
 
@@ -87,10 +88,6 @@ type Server struct {
 	// (under the wall namespace — traffic is not part of the deterministic
 	// study surface) and is served in Prometheus text form at /metrics.
 	Obs *obs.Registry
-	// Manifest, when non-nil, is served as JSON at /debug/manifest.
-	Manifest obs.ManifestSource
-	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/.
-	EnablePprof bool
 	// Shed, when non-nil, turns on overload resilience: per-class admission
 	// gates, per-client rate limiting, degraded-mode serving, and the
 	// /healthz + /readyz probes. Nil (the default) keeps every serving path
@@ -133,42 +130,17 @@ func normalize(data *Dataset) *Dataset {
 	return data
 }
 
-// Handler returns the HTTP handler. Observability hooks (Obs, Manifest,
-// EnablePprof) are bound here, so set them before calling.
-//
-// The four API endpoints are dispatched with an exact-path switch before
-// falling back to a ServeMux: the switch costs a handful of compares where
-// the mux's routing tree costs a tree walk per request, and the mux still
-// backs everything else (path cleaning, /metrics, /debug/...).
+// Handler returns the HTTP handler serving s as the one unnamed dataset of
+// a Registry, with s.Obs at /metrics.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	if s.Shed != nil {
-		// The health probes bypass admission — a load balancer must be able
-		// to probe an overloaded server.
-		mux.HandleFunc("/healthz", s.handleHealthz)
-		mux.HandleFunc("/readyz", s.handleReadyz)
-	}
-	h := &apiHandler{mux: mux, eps: s.endpoints("")}
-	mux.HandleFunc("/v1/check", h.eps.check)
-	mux.HandleFunc("/v1/list", h.eps.list)
-	mux.HandleFunc("/v1/prefixes", h.eps.prefixes)
-	mux.HandleFunc("/v1/stats", h.eps.stats)
-	mux.HandleFunc("/v1/greylist", h.eps.greylist)
-	if s.Obs != nil {
-		mux.Handle("/metrics", obs.MetricsHandler(s.Obs))
-	}
-	if s.Manifest != nil {
-		mux.Handle("/debug/manifest", obs.ManifestHandler(s.Manifest))
-	}
-	if s.EnablePprof {
-		obs.RegisterPprof(mux)
-	}
-	return h
+	g := NewUnnamedRegistry(s)
+	g.Obs = s.Obs
+	return g.Handler()
 }
 
 // endpointSet is one dataset's fully wrapped API handlers: admission-guarded
-// by cost class when the server sheds, then counted. Both a standalone
-// Server's mux and a Registry's per-dataset routing dispatch into one.
+// by cost class when the server sheds, then counted. A Registry's routing
+// dispatches into one per dataset.
 type endpointSet struct {
 	check, list, prefixes, stats, greylist http.HandlerFunc
 }
@@ -193,8 +165,8 @@ func (e *endpointSet) lookup(name string) http.HandlerFunc {
 
 // endpoints builds the wrapped endpoint handlers. dataset, when non-empty,
 // labels the per-endpoint metrics so a Registry's datasets stay separable in
-// /metrics; the empty string keeps the single-dataset server's metric names
-// byte-identical to what it always exposed.
+// /metrics; the unnamed dataset keeps the single-dataset server's metric
+// names byte-identical to what it always exposed.
 func (s *Server) endpoints(dataset string) endpointSet {
 	check, list, prefixes, stats, greylist :=
 		s.handleCheck, s.handleList, s.handlePrefixes, s.handleStats, s.handleGreylist
@@ -213,29 +185,6 @@ func (s *Server) endpoints(dataset string) endpointSet {
 		prefixes: s.counted("prefixes", dataset, prefixes),
 		stats:    s.counted("stats", dataset, stats),
 		greylist: s.counted("greylist", dataset, greylist),
-	}
-}
-
-// apiHandler fast-paths the fixed API endpoints around the mux.
-type apiHandler struct {
-	mux *http.ServeMux
-	eps endpointSet
-}
-
-func (h *apiHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/v1/check":
-		h.eps.check(w, r)
-	case "/v1/list":
-		h.eps.list(w, r)
-	case "/v1/prefixes":
-		h.eps.prefixes(w, r)
-	case "/v1/stats":
-		h.eps.stats(w, r)
-	case "/v1/greylist":
-		h.eps.greylist(w, r)
-	default:
-		h.mux.ServeHTTP(w, r)
 	}
 }
 

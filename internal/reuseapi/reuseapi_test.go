@@ -196,9 +196,11 @@ func TestStatsEmptyDataset(t *testing.T) {
 func TestObsEndpoints(t *testing.T) {
 	srv, _ := testServer(t)
 	srv.Obs = obs.NewRegistry()
-	srv.Manifest = func() *obs.Manifest { return obs.NewManifest() }
-	srv.EnablePprof = true
-	ts := httptest.NewServer(srv.Handler())
+	g := NewUnnamedRegistry(srv)
+	g.Obs = srv.Obs
+	g.Manifest = func() *obs.Manifest { return obs.NewManifest() }
+	g.EnablePprof = true
+	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
 	if _, err := http.Get(ts.URL + "/v1/check?ip=8.8.8.8"); err != nil {
