@@ -21,25 +21,26 @@ ci: build vet
 	$(GO) test -race -short ./...
 
 # Regenerates every paper table/figure into bench_artifacts/ (including the
-# deterministic metric snapshot metrics.txt), the worker-scaling curve in
-# BENCH_parallel.json, and the instrumentation-overhead curve in
-# BENCH_obs.json.
+# deterministic metric snapshot metrics.txt) and appends the worker-scaling,
+# instrumentation-overhead, serving and footprint rows to the bench ledger
+# BENCH_ledger.json (set BENCH_LEDGER to append elsewhere).
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # Just the observability overhead: the BenchmarkStudyParallel-shaped study
-# with instrumentation off vs on, recorded to BENCH_obs.json.
+# with instrumentation off vs on, appended to the bench ledger.
 bench-obs:
 	$(GO) test -bench=BenchmarkStudyObs -benchmem -run='^$$' .
 
 # Serving-layer benchmarks: the compiled-snapshot reuseapi server against a
-# locked-map replica of the old design on /v1/check and /v1/list, plus batch
-# throughput, recorded to BENCH_serve.json.
+# locked-map replica of the old design on /v1/check and /v1/list, batch
+# throughput, and delta versus full reloads, appended to the bench ledger;
+# fails if the /v1/check or scale-10 delta-reload speedup falls under 5x.
 bench-serve:
 	$(GO) test -bench=BenchmarkServe -benchmem -run='^$$' .
 
 # Paper-scale footprint ratchet: compact sharded swarms at world scales 1,
-# 10 and 100, rows appended to BENCH_scale.json; fails if bytes/host at
+# 10 and 100, rows appended to the bench ledger; fails if bytes/host at
 # scale >= 10 is not 5x under the pre-refactor baseline. Set
 # SCALE_BENCH_MAX=10 for a quick local pass without the 950K-host world.
 bench-scale:
@@ -49,10 +50,15 @@ bench-scale:
 report:
 	$(GO) run ./cmd/blreport
 
+# Every fuzz target, 30 s each.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/bencode/
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/krpc/
 	$(GO) test -fuzz FuzzParseLog -fuzztime 30s ./internal/crawler/
+	$(GO) test -fuzz '^FuzzAcceptsGzip$$' -fuzztime 30s ./internal/reuseapi/
+	$(GO) test -fuzz '^FuzzETagMatches$$' -fuzztime 30s ./internal/reuseapi/
+	$(GO) test -fuzz '^FuzzParseNATedList$$' -fuzztime 30s ./internal/blocklist/
+	$(GO) test -fuzz '^FuzzParsePrefixList$$' -fuzztime 30s ./internal/blocklist/
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,
@@ -70,9 +76,10 @@ coverage:
 
 # End-to-end scenario suite: every scenario builds the cmd binaries and
 # boots crawler fleet + pipeline + blserve as real processes over loopback,
-# asserting on the served API against the ground-truth oracles. The load-gen
-# scenario appends its latency record to BENCH_e2e.json (override the path
-# with E2E_BENCH_OUT). On failure, process logs land under E2E_LOG_DIR.
+# asserting on the served API against the ground-truth oracles. The load-gen,
+# overload-flood and fleet-scaling runs append their rows to the bench ledger
+# (override the path with BENCH_LEDGER). On failure, process logs land under
+# E2E_LOG_DIR.
 e2e:
 	$(GO) test -tags e2e -v -timeout 15m ./internal/e2e/
 

@@ -40,7 +40,7 @@ func TestValidateWorkerFlags(t *testing.T) {
 		{rate: -1},
 		{burst: -1},
 		{maxInflight: -5},
-		{worker: 1},                                  // -worker without -report-to
+		{worker: 1}, // -worker without -report-to
 		{reportTo: "127.0.0.1:4000", worker: 0, hb: time.Second},  // missing -worker
 		{reportTo: "127.0.0.1:4000", worker: -2, hb: time.Second}, // negative -worker
 		{reportTo: "127.0.0.1:4000", worker: 1, hb: 0},            // heartbeat period

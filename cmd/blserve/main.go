@@ -147,7 +147,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	var (
-
 		shedOn         = fs.Bool("shed", false, "enable overload resilience: admission control, load shedding, degraded mode, /healthz + /readyz")
 		shedCheap      = fs.Int("shed-cheap-concurrency", 256, "concurrent requests admitted on the cheap class (single checks, stats)")
 		shedHeavy      = fs.Int("shed-heavy-concurrency", 32, "concurrent requests admitted on the heavy class (list, prefixes, batch checks)")

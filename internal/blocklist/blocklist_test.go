@@ -356,14 +356,20 @@ func TestPublishSplit(t *testing.T) {
 	}
 }
 
-func TestParseNATedList(t *testing.T) {
-	in := `# crawl output
+// natedListInput covers every line form ParseNATedList reads; it and
+// badNATedList also seed FuzzParseNATedList.
+const (
+	natedListInput = `# crawl output
 100.64.0.1
 100.64.0.2	5
 100.64.0.3	users>=78	ports=90
 100.64.0.4	banana
 `
-	m, err := ParseNATedList(strings.NewReader(in))
+	badNATedList = "not-an-ip\n"
+)
+
+func TestParseNATedList(t *testing.T) {
+	m, err := ParseNATedList(strings.NewReader(natedListInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +382,7 @@ func TestParseNATedList(t *testing.T) {
 			t.Errorf("%s = %d, want %d", a, m[iputil.MustParseAddr(a)], u)
 		}
 	}
-	if _, err := ParseNATedList(strings.NewReader("not-an-ip\n")); err == nil {
+	if _, err := ParseNATedList(strings.NewReader(badNATedList)); err == nil {
 		t.Error("bad address accepted")
 	}
 }
@@ -425,13 +431,18 @@ func TestWriteNATedListRoundTrip(t *testing.T) {
 	}
 }
 
+// prefixListInput and badPrefixList also seed FuzzParsePrefixList.
+const (
+	prefixListInput = "# prefixes\n10.0.0.0/24\n192.0.2.0/24\n"
+	badPrefixList   = "10.0.0.0/99\n"
+)
+
 func TestParsePrefixList(t *testing.T) {
-	in := "# prefixes\n10.0.0.0/24\n192.0.2.0/24\n"
-	ps, err := ParsePrefixList(strings.NewReader(in))
+	ps, err := ParsePrefixList(strings.NewReader(prefixListInput))
 	if err != nil || ps.Len() != 2 {
 		t.Fatalf("ps = %v, %v", ps, err)
 	}
-	if _, err := ParsePrefixList(strings.NewReader("10.0.0.0/99\n")); err == nil {
+	if _, err := ParsePrefixList(strings.NewReader(badPrefixList)); err == nil {
 		t.Error("bad prefix accepted")
 	}
 }

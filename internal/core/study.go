@@ -75,7 +75,8 @@ type Config struct {
 	// Compact switches swarm nodes to pooled compact state with an 8-byte
 	// RNG, cutting per-host memory roughly in half at paper scale. Changes
 	// RNG sequences, so artifacts differ from default-scale goldens;
-	// intended for scale worlds (see BENCH_scale.json).
+	// intended for scale worlds (see the BenchmarkStudyScale rows in
+	// BENCH_ledger.json).
 	Compact bool
 
 	// Workers bounds the parallelism of every deterministic fan-out in the

@@ -17,8 +17,8 @@
 //     fault catalogue name plus a WorldSpec seed, with a -short smoke subset
 //     and shrink-on-failure reporting of the offending seed.
 //   - Load generation (loadgen.go): a concurrent driver for the zero-alloc
-//     /v1/check path recording p50/p99 latency and error rate to
-//     BENCH_e2e.json.
+//     /v1/check path recording p50/p99 latency and error rate to the
+//     bench ledger (obs.AppendBench).
 //
 // The scenario tests themselves live behind the `e2e` build tag (they build
 // binaries and fork processes); the helpers in this package are plain

@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/fleet"
+	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/obs"
 )
 
@@ -221,8 +223,11 @@ func TestFleetKillWorker(t *testing.T) {
 }
 
 // TestFleetBench records the fleet's scaling profile — crawl throughput and
-// merge latency at widths 1, 2 and 4 — to BENCH_fleet.json for the nightly
-// trend history.
+// merge latency at widths 1, 2 and 4 — to the bench ledger for the nightly
+// trend history. Wider fleets crawl different shards and merge different
+// lists, so each row also carries recall_vs_width1: the share of the width-1
+// run's merged NATed addresses (byte-identical to plain blcrawl) that the
+// width-N fleet also found. Throughput is only comparable next to it.
 func TestFleetBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench run")
@@ -231,10 +236,8 @@ func TestFleetBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := os.Getenv("E2E_BENCH_FLEET_OUT")
-	if out == "" {
-		out = filepath.Join(RepoRoot(), "BENCH_fleet.json")
-	}
+	var width1 map[iputil.Addr]int
+	var rows []obs.BenchRow
 	for _, n := range []int{1, 2, 4} {
 		dir := t.TempDir()
 		start := time.Now()
@@ -243,27 +246,42 @@ func TestFleetBench(t *testing.T) {
 		if m.Fleet == nil {
 			t.Fatalf("workers=%d: manifest has no fleet block", n)
 		}
-		addrs := bytes.Count(merged, []byte("\n"))
-		if len(merged) > 0 {
-			addrs-- // header line
+		users, err := blocklist.ParseNATedList(bytes.NewReader(merged))
+		if err != nil {
+			t.Fatalf("workers=%d: merged list: %v", n, err)
 		}
-		rec := FleetBenchRecord{
-			Scenario:    "fleet-scaling",
-			When:        time.Now().UTC().Format(time.RFC3339),
-			Seed:        fleetSeed,
-			Scale:       fleetScale,
-			Workers:     n,
-			CrawlHours:  fleetHours,
-			DurationSec: elapsed.Seconds(),
-			HostsPerSec: m.Fleet.HostsPerSec,
-			MergeMs:     float64(m.Fleet.MergeMillis),
-			MergedAddrs: addrs,
-			Restarts:    m.Fleet.Restarts,
+		if n == 1 {
+			if len(users) == 0 {
+				t.Fatal("width-1 fleet merged no NATed addresses; recall is undefined")
+			}
+			width1 = users
 		}
-		if err := AppendFleetBenchRecord(out, rec); err != nil {
-			t.Fatal(err)
+		found := 0
+		for a := range width1 {
+			if _, ok := users[a]; ok {
+				found++
+			}
 		}
-		t.Logf("workers=%d: %.1f hosts/sec, merge %dms, %d addrs in %v",
-			n, rec.HostsPerSec, m.Fleet.MergeMillis, addrs, elapsed.Round(time.Millisecond))
+		recall := float64(found) / float64(len(width1))
+		rows = append(rows, obs.BenchRow{
+			Bench: "fleet-scaling",
+			Case:  fmt.Sprintf("workers=%d/crawl_hours=%d", n, fleetHours),
+			Layer: "fleet",
+			Seed:  fleetSeed,
+			Scale: fleetScale,
+			Metrics: map[string]float64{
+				"duration_sec":     elapsed.Seconds(), // wall time of the whole fleet run
+				"hosts_per_sec":    m.Fleet.HostsPerSec,
+				"merge_ms":         float64(m.Fleet.MergeMillis),
+				"merged_addrs":     float64(len(users)),
+				"restarts":         float64(m.Fleet.Restarts),
+				"recall_vs_width1": recall,
+			},
+		})
+		t.Logf("workers=%d: %.1f hosts/sec, merge %dms, %d addrs (recall %.2f vs width 1) in %v",
+			n, m.Fleet.HostsPerSec, m.Fleet.MergeMillis, len(users), recall, elapsed.Round(time.Millisecond))
+	}
+	if err := obs.AppendBench(rows...); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -97,10 +97,10 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		[]byte("not bencode"),
-		[]byte("i42e"),                         // not a dict
-		[]byte("d1:t2:t11:y1:qe"),              // query without method
+		[]byte("i42e"),            // not a dict
+		[]byte("d1:t2:t11:y1:qe"), // query without method
 		[]byte("d1:t2:t11:y1:q1:q4:ping4:argsdee"), // unknown method
-		[]byte("d1:t2:t11:y1:xe"),              // unknown kind
+		[]byte("d1:t2:t11:y1:xe"),                  // unknown kind
 	}
 	for _, b := range bad {
 		if _, err := DecodeFrame(b); err == nil {

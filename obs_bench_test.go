@@ -1,14 +1,11 @@
 // Benchmark for the observability layer's overhead: the same crawl-dominated
 // study as BenchmarkStudyParallel, once with instrumentation off (nil
 // registry and tracer — the hot paths see only nil-receiver no-ops) and once
-// with metrics and tracing fully on. The recorded BENCH_obs.json pins the
-// relative overhead, which must stay within a few percent.
+// with metrics and tracing fully on. The ledger rows pin the relative
+// overhead, which must stay within a few percent.
 package reuseblock_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -17,14 +14,9 @@ import (
 	"github.com/reuseblock/reuseblock/internal/obs"
 )
 
-// obsBenchResult is one instrumentation mode's measurement in BENCH_obs.json.
-type obsBenchResult struct {
-	Mode    string `json:"mode"` // "off" or "on"
-	NsPerOp int64  `json:"ns_per_op"`
-}
-
 // BenchmarkStudyObs measures the instrumented pipeline against the
-// uninstrumented one and records both timings plus the relative overhead.
+// uninstrumented one and appends both timings plus the relative overhead
+// to the bench ledger.
 func BenchmarkStudyObs(b *testing.B) {
 	wp := blgen.DefaultParams(1)
 	w := blgen.Generate(wp)
@@ -61,31 +53,13 @@ func BenchmarkStudyObs(b *testing.B) {
 	}
 	overhead := float64(nsPerOp["on"]-nsPerOp["off"]) / float64(nsPerOp["off"]) * 100
 	b.ReportMetric(overhead, "%overhead")
-	out := struct {
-		Benchmark   string           `json:"benchmark"`
-		NumCPU      int              `json:"num_cpu"`
-		GOMAXPROCS  int              `json:"gomaxprocs"`
-		Vantages    int              `json:"vantages"`
-		CrawlHours  int              `json:"crawl_hours"`
-		Results     []obsBenchResult `json:"results"`
-		OverheadPct float64          `json:"overhead_pct"`
-	}{
-		Benchmark:  "BenchmarkStudyObs",
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Vantages:   4,
-		CrawlHours: 6,
-		Results: []obsBenchResult{
-			{Mode: "off", NsPerOp: nsPerOp["off"]},
-			{Mode: "on", NsPerOp: nsPerOp["on"]},
-		},
-		OverheadPct: overhead,
+	row := func(mode string, metrics map[string]float64) obs.BenchRow {
+		metrics["ns_per_op"] = float64(nsPerOp[mode])
+		return obs.BenchRow{Bench: "BenchmarkStudyObs", Case: "vantages=4/crawl_hours=6/obs=" + mode,
+			Layer: "obs", Seed: 1, Scale: wp.Scale, Metrics: metrics}
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644); err != nil {
+	if err := obs.AppendBench(row("off", map[string]float64{}),
+		row("on", map[string]float64{"overhead_pct": overhead})); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -1,31 +1,22 @@
 // Benchmark for the parallel study pipeline: the same multi-vantage study
 // at 1/2/4/8 workers. Wall-clock scaling depends on the host's CPU count
-// (a single-CPU runner shows ~1x regardless of workers), so the recorded
-// BENCH_parallel.json includes NumCPU alongside the timings.
+// (a single-CPU runner shows ~1x regardless of workers), so every ledger
+// row carries num_cpu and GOMAXPROCS beside the timings.
 package reuseblock_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blgen"
 	"github.com/reuseblock/reuseblock/internal/core"
+	"github.com/reuseblock/reuseblock/internal/obs"
 )
-
-// parallelBenchResult is one worker count's measurement in BENCH_parallel.json.
-type parallelBenchResult struct {
-	Workers   int     `json:"workers"`
-	NsPerOp   int64   `json:"ns_per_op"`
-	SpeedupX1 float64 `json:"speedup_vs_workers1"`
-}
 
 // BenchmarkStudyParallel runs the crawl-dominated study (4 vantages, 6h of
 // simulated time, default-scale world) at increasing worker counts and
-// records the scaling curve to BENCH_parallel.json.
+// appends the scaling curve to the bench ledger.
 func BenchmarkStudyParallel(b *testing.B) {
 	wp := blgen.DefaultParams(1)
 	w := blgen.Generate(wp)
@@ -49,39 +40,26 @@ func BenchmarkStudyParallel(b *testing.B) {
 			nsPerOp[workers] = b.Elapsed().Nanoseconds() / int64(b.N)
 		})
 	}
-	var results []parallelBenchResult
-	base := nsPerOp[1]
+	var rows []obs.BenchRow
 	for _, workers := range counts {
 		ns := nsPerOp[workers]
 		if ns == 0 {
 			continue
 		}
-		results = append(results, parallelBenchResult{
-			Workers:   workers,
-			NsPerOp:   ns,
-			SpeedupX1: float64(base) / float64(ns),
+		metrics := map[string]float64{"ns_per_op": float64(ns)}
+		if base := nsPerOp[1]; base > 0 {
+			metrics["speedup_vs_workers1"] = float64(base) / float64(ns)
+		}
+		rows = append(rows, obs.BenchRow{
+			Bench:   "BenchmarkStudyParallel",
+			Case:    fmt.Sprintf("vantages=4/crawl_hours=6/workers=%d", workers),
+			Layer:   "core",
+			Seed:    1,
+			Scale:   wp.Scale,
+			Metrics: metrics,
 		})
 	}
-	out := struct {
-		Benchmark  string                `json:"benchmark"`
-		NumCPU     int                   `json:"num_cpu"`
-		GOMAXPROCS int                   `json:"gomaxprocs"`
-		Vantages   int                   `json:"vantages"`
-		CrawlHours int                   `json:"crawl_hours"`
-		Results    []parallelBenchResult `json:"results"`
-	}{
-		Benchmark:  "BenchmarkStudyParallel",
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Vantages:   4,
-		CrawlHours: 6,
-		Results:    results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(data, '\n'), 0o644); err != nil {
+	if err := obs.AppendBench(rows...); err != nil {
 		b.Fatal(err)
 	}
 }

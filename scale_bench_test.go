@@ -1,4 +1,4 @@
-// Paper-scale world tests and the BENCH_scale.json ratchet.
+// Paper-scale world tests and the footprint ratchet.
 //
 // The compact core exists for one reason: the paper's observed population is
 // millions of addresses, and the original simulator spent ~11 KiB of heap
@@ -9,18 +9,16 @@
 //     scheduling-invariant, and streamed artifacts are byte-equal to the
 //     batch writers while using bounded memory.
 //   - BenchmarkStudyScale: measures hosts/sec, bytes/host and peak heap at
-//     world scales 1/10/100 and appends the rows to BENCH_scale.json; the
+//     world scales 1/10/100 and appends the rows to the bench ledger; the
 //     per-host footprint must undercut the pre-refactor baseline by >= 5x
 //     at scale >= 10 or the benchmark fails (the ratchet).
 package reuseblock_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,6 +27,7 @@ import (
 	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/obs"
 )
 
 // renderScaleStudy runs a small sharded, compact-state study and returns the
@@ -207,7 +206,7 @@ func TestScaleStreamingMemorySublinear(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_scale.json
+// Footprint ratchet
 // ---------------------------------------------------------------------------
 
 // Pre-refactor per-host heap footprints, measured on commit e9c9148 (before
@@ -220,55 +219,10 @@ const (
 	scaleRatchetFactor = 5
 )
 
-// ScaleBenchRecord is one BENCH_scale.json row.
-type ScaleBenchRecord struct {
-	Scenario       string  `json:"scenario"`
-	When           string  `json:"when"`
-	Seed           int64   `json:"seed"`
-	Scale          float64 `json:"scale"`
-	Hosts          int     `json:"hosts"`
-	Shards         int     `json:"shards"`
-	Compact        bool    `json:"compact"`
-	BuildSec       float64 `json:"build_sec"`
-	Run30mSec      float64 `json:"run30m_sec"`
-	HostsPerSec    float64 `json:"hosts_per_sec"`
-	BytesPerHost   float64 `json:"bytes_per_host"`
-	PeakAllocBytes uint64  `json:"peak_alloc_bytes"`
-	BaselineBytes  float64 `json:"baseline_bytes_per_host"`
-	FootprintRatio float64 `json:"footprint_ratio"`
-	NumCPU         int     `json:"num_cpu"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-}
-
-func appendScaleRecord(path string, rec ScaleBenchRecord) error {
-	var recs []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &recs); err != nil {
-			return fmt.Errorf("existing %s is not a bench-record array: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	recs = append(recs, raw)
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// scaleRecordOnce guards the ratchet file against duplicate rows when the
-// benchmark harness re-enters a sub-benchmark to hit -benchtime.
-var scaleRecordOnce sync.Map
-
 // measureScale builds the compact, sharded swarm for one world scale,
 // measures its heap footprint, runs 30 simulated minutes, and enforces the
 // footprint ratchet.
-func measureScale(b *testing.B, scale float64) ScaleBenchRecord {
+func measureScale(b *testing.B, scale float64) obs.BenchRow {
 	b.Helper()
 	wp := blgen.DefaultParams(1)
 	wp.Scale = scale
@@ -309,63 +263,62 @@ func measureScale(b *testing.B, scale float64) ScaleBenchRecord {
 	if scale >= 10 {
 		baseline = baselineBytesPerHostScale10
 	}
-	rec := ScaleBenchRecord{
-		Scenario:       "study-scale",
-		When:           time.Now().UTC().Format(time.RFC3339),
-		Seed:           1,
-		Scale:          scale,
-		Hosts:          hosts,
-		Shards:         4,
-		Compact:        true,
-		BuildSec:       buildSec,
-		Run30mSec:      runSec,
-		HostsPerSec:    float64(hosts) / (buildSec + runSec),
-		BytesPerHost:   bytesPerHost,
-		PeakAllocBytes: m1.HeapAlloc,
-		BaselineBytes:  baseline,
-		FootprintRatio: baseline / bytesPerHost,
-		NumCPU:         runtime.NumCPU(),
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-	}
-	if scale >= 10 && rec.FootprintRatio < scaleRatchetFactor {
+	ratio := baseline / bytesPerHost
+	if scale >= 10 && ratio < scaleRatchetFactor {
 		b.Fatalf("bytes/host = %.0f at scale %g — only %.1fx under the %.0f pre-refactor baseline, ratchet requires %dx",
-			bytesPerHost, scale, rec.FootprintRatio, baseline, scaleRatchetFactor)
+			bytesPerHost, scale, ratio, baseline, scaleRatchetFactor)
 	}
-	return rec
+	return obs.BenchRow{
+		Bench: "BenchmarkStudyScale",
+		Case:  "shards=4",
+		Layer: "core",
+		Seed:  1,
+		Scale: scale,
+		Metrics: map[string]float64{
+			"hosts":                   float64(hosts),
+			"build_sec":               buildSec,
+			"run30m_sec":              runSec,
+			"hosts_per_sec":           float64(hosts) / (buildSec + runSec),
+			"bytes_per_host":          bytesPerHost,
+			"peak_alloc_bytes":        float64(m1.HeapAlloc),
+			"baseline_bytes_per_host": baseline,
+			"footprint_ratio":         ratio,
+		},
+	}
 }
 
 // BenchmarkStudyScale is the paper-scale ratchet: world scales 1, 10 and 100
 // (roughly 8 K, 95 K and 950 K live hosts). Each sub-benchmark performs one
 // full measurement regardless of b.N — run with -benchtime=1x, as the
-// nightly job does — and appends its row to BENCH_scale.json (override the
-// path with SCALE_BENCH_OUT; set SCALE_BENCH_MAX to cap the largest scale
-// for quick local runs).
+// nightly job does — and the rows of the scales that passed the ratchet are
+// appended to the bench ledger once all have run (set SCALE_BENCH_MAX to cap
+// the largest scale for quick local runs).
 func BenchmarkStudyScale(b *testing.B) {
 	maxScale := 100.0
 	if v := os.Getenv("SCALE_BENCH_MAX"); v != "" {
 		fmt.Sscanf(v, "%g", &maxScale)
 	}
-	out := os.Getenv("SCALE_BENCH_OUT")
-	if out == "" {
-		out = "BENCH_scale.json"
-	}
+	var rows []obs.BenchRow
 	for _, scale := range []float64{1, 10, 100} {
 		if scale > maxScale {
 			continue
 		}
 		scale := scale
+		var row obs.BenchRow
 		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
-			rec := measureScale(b, scale)
-			b.ReportMetric(rec.HostsPerSec, "hosts/s")
-			b.ReportMetric(rec.BytesPerHost, "bytes/host")
-			b.ReportMetric(float64(rec.PeakAllocBytes)/(1<<20), "peak-MiB")
-			if _, dup := scaleRecordOnce.LoadOrStore(scale, true); !dup {
-				if err := appendScaleRecord(out, rec); err != nil {
-					b.Fatalf("recording %s: %v", out, err)
-				}
-			}
-			b.Logf("scale=%g: %d hosts, %.0f bytes/host (%.1fx under baseline), build %.1fs, run30m %.1fs",
-				scale, rec.Hosts, rec.BytesPerHost, rec.FootprintRatio, rec.BuildSec, rec.Run30mSec)
+			row = measureScale(b, scale)
+			m := row.Metrics
+			b.ReportMetric(m["hosts_per_sec"], "hosts/s")
+			b.ReportMetric(m["bytes_per_host"], "bytes/host")
+			b.ReportMetric(m["peak_alloc_bytes"]/(1<<20), "peak-MiB")
+			b.Logf("scale=%g: %.0f hosts, %.0f bytes/host (%.1fx under baseline), build %.1fs, run30m %.1fs",
+				scale, m["hosts"], m["bytes_per_host"], m["footprint_ratio"], m["build_sec"], m["run30m_sec"])
 		})
+		if row.Metrics != nil {
+			rows = append(rows, row)
+		}
+	}
+	if err := obs.AppendBench(rows...); err != nil {
+		b.Fatal(err)
 	}
 }

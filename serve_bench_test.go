@@ -1,9 +1,9 @@
 // Benchmarks for the serving layer rebuild: the compiled-snapshot reuseapi
 // server against a benchmark-local replica of the pre-snapshot design (RWMutex
 // around a map dataset, per-request url.Values parsing, a 33-probe covering
-// loop, json.Encoder verdicts, and per-request list rendering). The recorded
-// BENCH_serve.json pins the speedup, which must stay at least 5x on the
-// /v1/check hot path at 100k NATed addresses.
+// loop, json.Encoder verdicts, and per-request list rendering). Each
+// benchmark appends its rows to the bench ledger once its sub-benchmarks
+// have run, and fails when a gated speedup falls under its factor.
 package reuseblock_test
 
 import (
@@ -13,20 +13,26 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/obs"
 	"github.com/reuseblock/reuseblock/internal/reuseapi"
 )
 
 const (
 	serveBenchAddrs    = 100_000
 	serveBenchPrefixes = 512
+
+	// checkSpeedupFactor is the least /v1/check speedup of the snapshot
+	// over the locked-map replica at serveBenchAddrs addresses.
+	checkSpeedupFactor = 5
+	// deltaSpeedupFactor is the least speedup of ApplyDelta over a full
+	// Compile at scale 10 — that gap is why the reloader diffs at all.
+	deltaSpeedupFactor = 5
 )
 
 // serveBenchDataset builds the fixed 100k-address dataset both server
@@ -143,102 +149,50 @@ func (w *benchRW) Header() http.Header         { return w.h }
 func (w *benchRW) Write(p []byte) (int, error) { return len(p), nil }
 func (w *benchRW) WriteHeader(int)             {}
 
-// serveBenchOut accumulates both benchmarks' numbers; whichever finishes
-// last writes the complete BENCH_serve.json.
-var serveBenchOut = struct {
-	sync.Mutex
-	check, list  map[string]int64
-	checkAllocs  map[string]float64
-	batchNsPerIP int64
-	deltaReload  []deltaReloadRow
-}{
-	check:       map[string]int64{},
-	list:        map[string]int64{},
-	checkAllocs: map[string]float64{},
+// serveRow is one serving benchmark's ledger row for a server variant.
+func serveRow(bench, variant string, metrics map[string]float64) obs.BenchRow {
+	return obs.BenchRow{
+		Bench:   bench,
+		Case:    fmt.Sprintf("addrs=%d/prefixes=%d/variant=%s", serveBenchAddrs, serveBenchPrefixes, variant),
+		Layer:   "reuseapi",
+		Metrics: metrics,
+	}
 }
 
-// deltaReloadRow is one BENCH_serve.json delta-reload entry: the cost of
-// swapping a churned dataset in via a full Compile versus the incremental
-// ApplyDelta path, at one world scale.
-type deltaReloadRow struct {
-	Scale           int     `json:"scale"`
-	NATedAddrs      int     `json:"nated_addrs"`
-	DynamicPrefixes int     `json:"dynamic_prefixes"`
-	DeltaOps        int     `json:"delta_ops"`
-	FullNsPerOp     int64   `json:"full_compile_ns_per_op"`
-	DeltaNsPerOp    int64   `json:"apply_delta_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-}
-
-type serveBenchVariant struct {
-	Variant     string   `json:"variant"` // "locked_map" or "snapshot"
-	NsPerOp     int64    `json:"ns_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-func writeServeBench(b *testing.B) {
-	serveBenchOut.Lock()
-	defer serveBenchOut.Unlock()
-	speedup := func(m map[string]int64) float64 {
-		if m["locked_map"] == 0 || m["snapshot"] == 0 {
-			return 0
+// variantRows turns the measured ns/op (and allocs/op, when given) of the
+// locked-map replica and the snapshot into ledger rows. The snapshot row
+// carries its speedup over the replica, which is also returned (0 unless
+// both ran).
+func variantRows(bench string, nsPerOp map[string]int64, allocs map[string]float64) ([]obs.BenchRow, float64) {
+	var rows []obs.BenchRow
+	speedup := 0.0
+	for _, v := range []string{"locked_map", "snapshot"} {
+		ns, ok := nsPerOp[v]
+		if !ok {
+			continue
 		}
-		return float64(m["locked_map"]) / float64(m["snapshot"])
-	}
-	variants := func(m map[string]int64, allocs map[string]float64) []serveBenchVariant {
-		var out []serveBenchVariant
-		for _, name := range []string{"locked_map", "snapshot"} {
-			if ns, ok := m[name]; ok {
-				v := serveBenchVariant{Variant: name, NsPerOp: ns}
-				if allocs != nil {
-					a := allocs[name]
-					v.AllocsPerOp = &a
-				}
-				out = append(out, v)
-			}
+		m := map[string]float64{"ns_per_op": float64(ns)}
+		if a, ok := allocs[v]; ok {
+			m["allocs_per_op"] = a
 		}
-		return out
+		if locked := nsPerOp["locked_map"]; v == "snapshot" && locked > 0 {
+			speedup = float64(locked) / float64(ns)
+			m["speedup_vs_locked_map"] = speedup
+		}
+		rows = append(rows, serveRow(bench, v, m))
 	}
-	out := struct {
-		Benchmark       string              `json:"benchmark"`
-		NumCPU          int                 `json:"num_cpu"`
-		GOMAXPROCS      int                 `json:"gomaxprocs"`
-		NATedAddrs      int                 `json:"nated_addrs"`
-		DynamicPrefixes int                 `json:"dynamic_prefixes"`
-		Check           []serveBenchVariant `json:"check"`
-		CheckSpeedup    float64             `json:"check_speedup"`
-		BatchNsPerIP    int64               `json:"batch_ns_per_ip,omitempty"`
-		List            []serveBenchVariant `json:"list"`
-		ListSpeedup     float64             `json:"list_speedup"`
-		DeltaReload     []deltaReloadRow    `json:"delta_reload,omitempty"`
-	}{
-		Benchmark:       "BenchmarkServeCheck+BenchmarkServeList+BenchmarkServeDeltaReload",
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NATedAddrs:      serveBenchAddrs,
-		DynamicPrefixes: serveBenchPrefixes,
-		Check:           variants(serveBenchOut.check, serveBenchOut.checkAllocs),
-		CheckSpeedup:    speedup(serveBenchOut.check),
-		BatchNsPerIP:    serveBenchOut.batchNsPerIP,
-		List:            variants(serveBenchOut.list, nil),
-		ListSpeedup:     speedup(serveBenchOut.list),
-		DeltaReload:     serveBenchOut.deltaReload,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	return rows, speedup
 }
 
 // BenchmarkServeCheck drives the /v1/check query mix through the locked-map
 // replica and the compiled-snapshot server, plus the batch POST endpoint,
-// and records per-request timings and allocations.
+// and records per-request timings and allocations. The snapshot must answer
+// at least checkSpeedupFactor times faster than the replica.
 func BenchmarkServeCheck(b *testing.B) {
 	data := serveBenchDataset()
 	reqs := serveBenchRequests(data)
+	nsPerOp, allocs := map[string]int64{}, map[string]float64{}
+	var batchNsPerIP int64
 
 	measure := func(name string, h http.Handler) {
 		b.Run(name, func(b *testing.B) {
@@ -249,13 +203,10 @@ func BenchmarkServeCheck(b *testing.B) {
 				h.ServeHTTP(w, reqs[i%len(reqs)])
 			}
 			b.StopTimer()
-			allocs := testing.AllocsPerRun(1000, func() {
+			nsPerOp[name] = b.Elapsed().Nanoseconds() / int64(b.N)
+			allocs[name] = testing.AllocsPerRun(1000, func() {
 				h.ServeHTTP(w, reqs[0])
 			})
-			serveBenchOut.Lock()
-			serveBenchOut.check[name] = b.Elapsed().Nanoseconds() / int64(b.N)
-			serveBenchOut.checkAllocs[name] = allocs
-			serveBenchOut.Unlock()
 		})
 	}
 
@@ -281,14 +232,22 @@ func BenchmarkServeCheck(b *testing.B) {
 			h.ServeHTTP(w, r)
 		}
 		b.StopTimer()
-		perIP := b.Elapsed().Nanoseconds() / int64(b.N) / int64(len(ips))
-		b.ReportMetric(float64(perIP), "ns/ip")
-		serveBenchOut.Lock()
-		serveBenchOut.batchNsPerIP = perIP
-		serveBenchOut.Unlock()
+		batchNsPerIP = b.Elapsed().Nanoseconds() / int64(b.N) / int64(len(ips))
+		b.ReportMetric(float64(batchNsPerIP), "ns/ip")
 	})
 
-	writeServeBench(b)
+	rows, speedup := variantRows("BenchmarkServeCheck", nsPerOp, allocs)
+	if speedup > 0 && speedup < checkSpeedupFactor {
+		b.Fatalf("/v1/check snapshot is only %.1fx faster than the locked-map replica; the gate requires %dx",
+			speedup, checkSpeedupFactor)
+	}
+	if batchNsPerIP > 0 {
+		rows = append(rows, serveRow("BenchmarkServeCheck", "snapshot-batch",
+			map[string]float64{"ns_per_ip": float64(batchNsPerIP)}))
+	}
+	if err := obs.AppendBench(rows...); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkServeList measures the full-list endpoint: the locked replica
@@ -309,6 +268,7 @@ func BenchmarkServeList(b *testing.B) {
 		b.Fatal("locked-map replica and snapshot render different /v1/list bodies")
 	}
 
+	nsPerOp := map[string]int64{}
 	for _, v := range []struct {
 		name string
 		h    http.Handler
@@ -323,13 +283,14 @@ func BenchmarkServeList(b *testing.B) {
 				v.h.ServeHTTP(w, req)
 			}
 			b.StopTimer()
-			serveBenchOut.Lock()
-			serveBenchOut.list[v.name] = b.Elapsed().Nanoseconds() / int64(b.N)
-			serveBenchOut.Unlock()
+			nsPerOp[v.name] = b.Elapsed().Nanoseconds() / int64(b.N)
 		})
 	}
 
-	writeServeBench(b)
+	rows, _ := variantRows("BenchmarkServeList", nsPerOp, nil)
+	if err := obs.AppendBench(rows...); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // serveBenchDelta is the reload churn a watch tick typically carries: one
@@ -364,9 +325,9 @@ func serveBenchDelta(data *reuseapi.Dataset) *reuseapi.Delta {
 // BenchmarkServeDeltaReload prices a hot reload both ways at two world
 // scales: the full recompile the classic -watch path pays versus the
 // incremental ApplyDelta the diffing reloader pays for the same churn. The
-// recorded speedup at scale 10 must stay at least 5x — that gap is why the
-// reloader diffs at all.
+// speedup at scale 10 must stay at least deltaSpeedupFactor.
 func BenchmarkServeDeltaReload(b *testing.B) {
+	var rows []obs.BenchRow
 	for _, sc := range []struct{ scale, addrs, prefixes int }{
 		{1, 10_000, 64},
 		{10, 100_000, 512},
@@ -406,21 +367,28 @@ func BenchmarkServeDeltaReload(b *testing.B) {
 			deltaNs = b.Elapsed().Nanoseconds() / int64(b.N)
 		})
 
-		row := deltaReloadRow{
-			Scale:           sc.scale,
-			NATedAddrs:      sc.addrs,
-			DynamicPrefixes: sc.prefixes,
-			DeltaOps:        delta.Ops(),
-			FullNsPerOp:     fullNs,
-			DeltaNsPerOp:    deltaNs,
+		if fullNs == 0 || deltaNs == 0 {
+			continue
 		}
-		if deltaNs > 0 {
-			row.Speedup = float64(fullNs) / float64(deltaNs)
+		speedup := float64(fullNs) / float64(deltaNs)
+		if sc.scale == 10 && speedup < deltaSpeedupFactor {
+			b.Fatalf("scale 10: ApplyDelta is only %.1fx faster than a full Compile; the gate requires %dx",
+				speedup, deltaSpeedupFactor)
 		}
-		serveBenchOut.Lock()
-		serveBenchOut.deltaReload = append(serveBenchOut.deltaReload, row)
-		serveBenchOut.Unlock()
+		rows = append(rows, obs.BenchRow{
+			Bench: "BenchmarkServeDeltaReload",
+			Case:  fmt.Sprintf("addrs=%d/prefixes=%d", sc.addrs, sc.prefixes),
+			Layer: "reuseapi",
+			Scale: float64(sc.scale),
+			Metrics: map[string]float64{
+				"delta_ops":              float64(delta.Ops()),
+				"full_compile_ns_per_op": float64(fullNs),
+				"apply_delta_ns_per_op":  float64(deltaNs),
+				"speedup":                speedup,
+			},
+		})
 	}
-
-	writeServeBench(b)
+	if err := obs.AppendBench(rows...); err != nil {
+		b.Fatal(err)
+	}
 }
