@@ -12,9 +12,7 @@ import (
 	"github.com/reuseblock/reuseblock/internal/blgen"
 	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/iputil"
-	"github.com/reuseblock/reuseblock/internal/netsim"
 	"github.com/reuseblock/reuseblock/internal/ripeatlas"
 )
 
@@ -142,19 +140,14 @@ func runSmallCrawl(b *testing.B, w *blgen.World, seed int64, cooldown time.Durat
 	if err != nil {
 		b.Fatal(err)
 	}
-	vantage := iputil.MustParseAddr("198.18.0.1")
-	sock, err := swarm.Listen(netsim.Endpoint{Addr: vantage, Port: 9999})
+	c, err := swarm.StartCrawler(0, crawler.Config{
+		Scope:    scope.Covers,
+		Cooldown: cooldown,
+		Seed:     seed,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantage)), crawler.Config{
-		Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
-		Scope:     scope.Covers,
-		Cooldown:  cooldown,
-		Seed:      seed,
-	})
-	swarm.RunFor(time.Minute)
-	c.Start()
 	swarm.RunFor(12 * time.Hour)
 	c.Stop()
 	return c
@@ -183,18 +176,10 @@ func BenchmarkAblationChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vantage := iputil.MustParseAddr("198.18.0.1")
-			sock, err := swarm.Listen(netsim.Endpoint{Addr: vantage, Port: 9999})
+			c, err := swarm.StartCrawler(0, crawler.Config{Scope: scope.Covers, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantage)), crawler.Config{
-				Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
-				Scope:     scope.Covers,
-				Seed:      1,
-			})
-			swarm.RunFor(time.Minute)
-			c.Start()
 			swarm.RunFor(12 * time.Hour)
 			c.Stop()
 			falsePos := 0

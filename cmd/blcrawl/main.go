@@ -58,15 +58,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// workerOpts is the validated worker-mode configuration (zero value: not a
-// fleet worker).
-type workerOpts struct {
-	reportTo   string
-	worker     int
-	hbInterval time.Duration
-	budget     fleet.Budget
-}
-
 // run is main with its exit code and streams surfaced so tests can drive the
 // command in-process: 0 on success (including -h), 2 on flag errors, 1 on
 // runtime failures.
@@ -118,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usageErr(err)
 	}
-	worker, err := validateWorkerFlags(*reportTo, *workerID, *hbInterval, *rate, *burst, *maxInflight)
+	spec, err := validateWorkerFlags(*reportTo, *workerID, *hbInterval, *rate, *burst, *maxInflight)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -128,7 +119,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *realN > 0:
 		err = runReal(*realN, *duration, stdout)
 	default:
-		err = runSimulated(*seed, *scale, *duration, *loss, *out, *msgLog, scenario, shardSpec, worker, stdout, stderr)
+		spec.Seed, spec.Scale, spec.Duration, spec.Loss = *seed, *scale, *duration, *loss
+		spec.Shard, spec.FaultScenario, spec.OutFile = shardSpec, *faultScn, *out
+		err = runSimulated(spec, *msgLog, scenario, stdout, stderr)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "blcrawl:", err)
@@ -139,8 +132,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // validateWorkerFlags applies the -shard validation standard to the worker
 // and budget flags: anything malformed is rejected before the crawl starts.
-func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, rate float64, burst, maxInflight int) (workerOpts, error) {
-	var w workerOpts
+// The result carries the worker-mode wiring and budget (no ReportTo: not a
+// fleet worker).
+func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, rate float64, burst, maxInflight int) (fleet.WorkerSpec, error) {
+	var w fleet.WorkerSpec
 	if rate < 0 {
 		return w, fmt.Errorf("invalid -rate %v: want >= 0", rate)
 	}
@@ -150,7 +145,7 @@ func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, 
 	if maxInflight < 0 {
 		return w, fmt.Errorf("invalid -max-inflight %d: want >= 0", maxInflight)
 	}
-	w.budget = fleet.Budget{Rate: rate, Burst: burst, MaxInflight: maxInflight}
+	w.Budget = fleet.Budget{Rate: rate, Burst: burst, MaxInflight: maxInflight}
 	if reportTo == "" {
 		if worker != 0 {
 			return w, fmt.Errorf("invalid -worker %d: requires -report-to", worker)
@@ -166,9 +161,9 @@ func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, 
 	if hbInterval <= 0 {
 		return w, fmt.Errorf("invalid -hb-interval %v: want > 0", hbInterval)
 	}
-	w.reportTo = reportTo
-	w.worker = worker
-	w.hbInterval = hbInterval
+	w.ReportTo = reportTo
+	w.ID = worker
+	w.HBInterval = hbInterval
 	return w, nil
 }
 
@@ -192,55 +187,35 @@ func runReplay(path string, window time.Duration, stdout io.Writer) error {
 	return nil
 }
 
-func runSimulated(seed int64, scale float64, duration time.Duration, loss float64, out, msgLog string, scenario *faults.Scenario, shard fleet.ShardSpec, worker workerOpts, stdout, stderr io.Writer) (err error) {
-	// In worker mode the coordinator is dialed before world generation so
-	// readiness is announced as early as possible.
-	var agent *fleet.Agent
-	if worker.reportTo != "" {
-		agent, err = fleet.DialAgent(worker.reportTo, worker.worker, shard, worker.hbInterval)
-		if err != nil {
-			return err
-		}
-		defer agent.Close()
-	}
-
-	job := fleet.CrawlJob{
-		Seed:     seed,
-		Scale:    scale,
-		Duration: duration,
-		Loss:     loss,
-		Scenario: scenario,
-		Shard:    shard,
-		Budget:   worker.budget,
-		Stderr:   stderr,
-	}
-	if agent != nil {
-		job.Chunk = fleet.HeartbeatChunk(duration)
-		job.Progress = agent.Publish
-	}
+// runSimulated crawls the simulated world as one fleet worker would (a
+// plain crawl is a worker with no coordinator) and prints its statistics.
+func runSimulated(spec fleet.WorkerSpec, msgLog string, scenario *faults.Scenario, stdout, stderr io.Writer) (err error) {
+	var eventLog io.Writer
 	if msgLog != "" {
-		lf, err := os.Create(msgLog)
-		if err != nil {
-			return err
+		lf, cerr := os.Create(msgLog)
+		if cerr != nil {
+			return cerr
 		}
+		w := bufio.NewWriter(lf)
 		defer func() {
+			if ferr := w.Flush(); ferr != nil && err == nil {
+				err = ferr
+			}
 			if cerr := lf.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}()
-		w := bufio.NewWriter(lf)
-		defer w.Flush()
-		job.EventLog = w
+		eventLog = w
 	}
 
 	start := time.Now()
-	res, err := fleet.RunCrawl(job)
+	res, err := fleet.RunWorker(spec, nil, eventLog, stderr)
 	if err != nil {
 		return err
 	}
 
 	st := res.Stats
-	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", duration, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", spec.Duration, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "messages sent:      %d (get_nodes %d, bt_ping %d)\n", st.MessagesSent, st.GetNodesSent, st.PingsSent)
 	fmt.Fprintf(stdout, "responses received: %d (%.1f%%)\n", st.MessagesReceived, st.ResponseRate*100)
 	fmt.Fprintf(stdout, "unique IPs:         %d\n", st.UniqueIPs)
@@ -259,24 +234,6 @@ func runSimulated(seed int64, scale float64, duration time.Duration, loss float6
 	if len(res.Detected) > 0 {
 		fmt.Fprintf(stdout, "ground truth:       %d/%d detected addresses are true NAT gateways\n",
 			res.TruePositives, len(res.Detected))
-	}
-	if out != "" {
-		if err := fleet.WriteOut(out, res.Detected, stderr); err != nil {
-			return err
-		}
-	}
-	if agent != nil {
-		d := fleet.Done{
-			OutFile:       out,
-			Stats:         fleet.ToWireStats(st),
-			TruePositives: int64(res.TruePositives),
-		}
-		if res.SawBootstrap {
-			d.SawBootstrap = 1
-		}
-		if err := agent.Done(d); err != nil {
-			return err
-		}
 	}
 	return nil
 }

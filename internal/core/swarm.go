@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blgen"
+	"github.com/reuseblock/reuseblock/internal/crawler"
 	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -38,6 +39,7 @@ type Swarm struct {
 	// node storage the way it owns its clock.
 	arenas  []dht.NodeArena
 	compact bool // nodes use the compact RNG (SwarmConfig.Compact)
+	faulted bool // built with a fault scenario (SwarmConfig.Faults)
 }
 
 // RunFor advances the swarm's virtual time by d, across all shards in
@@ -58,6 +60,33 @@ func (s *Swarm) ClockAt(a iputil.Addr) *netsim.Clock { return s.Group.ShardFor(a
 
 // NetStats sums fabric traffic counters across shards.
 func (s *Swarm) NetStats() netsim.Stats { return s.Group.Stats() }
+
+// StartCrawler brings up crawler vantage v (198.18.0.0/15 is benchmarking
+// space — our measurement hosts): it binds 198.18.v.1:9999 on the shard
+// owning that address, enters the swarm at its bootstrap, schedules on that
+// shard's clock, lets NATed users' mappings open for one simulated minute,
+// and starts crawling. On a swarm built with a fault scenario the crawler
+// fights back — bounded retries with backoff and eviction of persistently
+// dead endpoints — including storm- and byzantine-only scenarios, which
+// have no wire injector. Fault-free swarms leave the policy off, so their
+// crawls reproduce the original byte stream.
+func (s *Swarm) StartCrawler(v int, cfg crawler.Config) (*crawler.Crawler, error) {
+	addr := iputil.AddrFrom4(198, 18, byte(v), 1)
+	sock, err := s.Listen(netsim.Endpoint{Addr: addr, Port: 9999})
+	if err != nil {
+		return nil, fmt.Errorf("core: crawler vantage %d: %w", v, err)
+	}
+	cfg.Bootstrap = []netsim.Endpoint{s.Bootstrap}
+	if s.faulted {
+		cfg.MaxRetries = 2
+		cfg.RetryBase = 2 * time.Second
+		cfg.EvictAfter = 4
+	}
+	c := crawler.New(sock, dht.SimClock(s.ClockAt(addr)), cfg)
+	s.RunFor(time.Minute)
+	c.Start()
+	return c, nil
+}
 
 // newNode allocates a DHT node at addr from its shard's arena, scheduling on
 // its shard's clock.
@@ -144,7 +173,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 	if shards > 1 && cfg.Faults != nil {
 		return nil, fmt.Errorf("core: fault scenarios require the monolithic fabric (Shards <= 1)")
 	}
-	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact}
+	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact, faulted: cfg.Faults != nil}
 	// The injector reads s.Now(): the one shard's clock once the group
 	// exists, which it must hook from the start.
 	inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^0x464c5453, s) // "FLTS"

@@ -10,10 +10,8 @@ import (
 	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
-	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
 // NATedListHeader is the comment header every crawl observation file
@@ -87,10 +85,8 @@ type CrawlResult struct {
 	Cancelled bool
 }
 
-// RunCrawl executes one shard crawl on the deterministic simulator. It is
-// the factored core of `blcrawl`'s simulated mode, shared by the blcrawl
-// command, fleet worker mode, and the coordinator's in-process runner: one
-// implementation, so a worker crawl is the same crawl wherever it runs.
+// RunCrawl executes one shard crawl on the deterministic simulator: the
+// crawl core of RunWorker, without the control plane or the out file.
 func RunCrawl(job CrawlJob) (CrawlResult, error) {
 	var res CrawlResult
 	stderr := job.Stderr
@@ -113,11 +109,6 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 	if err != nil {
 		return res, err
 	}
-	vantage := iputil.MustParseAddr("198.18.0.1")
-	sock, err := swarm.Listen(netsim.Endpoint{Addr: vantage, Port: 9999})
-	if err != nil {
-		return res, err
-	}
 	cover := scope.Covers
 	if !job.Shard.Whole() {
 		// Restrict probing to this instance's address shard. The bootstrap
@@ -126,25 +117,16 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 		cover = job.Shard.Scope(scope.Covers, swarm.Bootstrap.Addr)
 		fmt.Fprintf(stderr, "crawling shard %d/%d of the address space\n", job.Shard.Index-1, job.Shard.N)
 	}
-	ccfg := crawler.Config{
-		Bootstrap:   []netsim.Endpoint{swarm.Bootstrap},
+	c, err := swarm.StartCrawler(0, crawler.Config{
 		Scope:       cover,
 		Seed:        job.Seed,
 		Limiter:     NewTokenBucket(job.Budget.Rate, job.Budget.Burst),
 		MaxInflight: job.Budget.MaxInflight,
+		EventLog:    job.EventLog,
+	})
+	if err != nil {
+		return res, err
 	}
-	if job.Scenario != nil {
-		// Under faults the crawler fights back: retries with backoff and
-		// eviction of persistently dead endpoints.
-		ccfg.MaxRetries = 2
-		ccfg.RetryBase = 2 * time.Second
-		ccfg.EvictAfter = 4
-	}
-	ccfg.EventLog = job.EventLog
-
-	c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantage)), ccfg)
-	swarm.RunFor(time.Minute)
-	c.Start()
 
 	snapshot := func(done bool) Snapshot {
 		st := c.Stats()

@@ -132,8 +132,8 @@ func (h *procHandle) Wait() error { return <-h.err }
 func (h *procHandle) Kill() error { return h.cmd.Process.Kill() }
 func (h *procHandle) Pid() int    { return h.cmd.Process.Pid }
 
-// LocalRunner runs workers as in-process goroutines around the same
-// RunCrawl + Agent code path the blcrawl worker mode uses.
+// LocalRunner runs workers as in-process goroutines through RunWorker, the
+// code path of the blcrawl worker process.
 type LocalRunner struct{}
 
 type localHandle struct {
@@ -147,7 +147,7 @@ func (LocalRunner) Start(spec WorkerSpec) (WorkerHandle, error) {
 	h := &localHandle{cancel: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(h.done)
-		h.err = RunWorker(spec, h.cancel, io.Discard)
+		_, h.err = RunWorker(spec, h.cancel, nil, io.Discard)
 	}()
 	return h, nil
 }
@@ -168,21 +168,24 @@ func (h *localHandle) Kill() error {
 
 func (h *localHandle) Pid() int { return 0 }
 
-// RunWorker executes one fleet worker end to end: dial the coordinator,
-// announce readiness, run the shard crawl publishing heartbeat snapshots,
-// write the shard observations, and deliver fleet_done. A cancelled crawl
-// (worker killed) returns an error without reporting done or writing the
-// out file — crash semantics, identical to a killed process.
-func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error {
+// RunWorker executes one fleet worker end to end: dial the coordinator
+// (when spec.ReportTo is set), announce readiness, run the shard crawl
+// publishing heartbeat snapshots, write the shard observations, and deliver
+// fleet_done. It is blcrawl's whole simulated mode, so a worker crawl is the
+// same crawl wherever it runs. eventLog, when non-nil, receives the crawler
+// message log. A cancelled crawl (worker killed) returns an error without
+// reporting done or writing the out file — crash semantics, identical to a
+// killed process.
+func RunWorker(spec WorkerSpec, cancel <-chan struct{}, eventLog, stderr io.Writer) (CrawlResult, error) {
 	scenario, err := faults.Lookup(spec.FaultScenario)
 	if err != nil {
-		return err
+		return CrawlResult{}, err
 	}
 	var agent *Agent
 	if spec.ReportTo != "" {
 		agent, err = DialAgent(spec.ReportTo, spec.ID, spec.Shard, spec.HBInterval)
 		if err != nil {
-			return err
+			return CrawlResult{}, err
 		}
 		defer agent.Close()
 	}
@@ -194,6 +197,7 @@ func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error 
 		Scenario: scenario,
 		Shard:    spec.Shard,
 		Budget:   spec.Budget,
+		EventLog: eventLog,
 		Stderr:   stderr,
 		Chunk:    HeartbeatChunk(spec.Duration),
 		Cancel:   cancel,
@@ -203,14 +207,14 @@ func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error 
 	}
 	res, err := RunCrawl(job)
 	if err != nil {
-		return err
+		return res, err
 	}
 	if res.Cancelled {
-		return fmt.Errorf("fleet: worker %d cancelled mid-crawl", spec.ID)
+		return res, fmt.Errorf("fleet: worker %d cancelled mid-crawl", spec.ID)
 	}
 	if spec.OutFile != "" {
 		if err := WriteOut(spec.OutFile, res.Detected, stderr); err != nil {
-			return err
+			return res, err
 		}
 	}
 	if agent != nil {
@@ -223,10 +227,10 @@ func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error 
 			d.SawBootstrap = 1
 		}
 		if err := agent.Done(d); err != nil {
-			return err
+			return res, err
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // HeartbeatChunk picks the simulated-time slice between progress snapshots:
