@@ -80,11 +80,6 @@ type Config struct {
 	// issuing when that many transactions await responses — the fleet's
 	// bounded in-flight request queue. Zero (the default) is unbounded.
 	MaxInflight int
-	// MaxPerNode bounds concurrent outstanding queries to a single
-	// endpoint; a frontier entry whose node is already at the bound is
-	// dropped from the queue like a cooled-down one (the next sweep
-	// re-enqueues every known endpoint). Zero is unbounded.
-	MaxPerNode int
 	// Seed drives the crawler's RNG (lookup targets, transaction IDs).
 	Seed int64
 	// EventLog, when non-nil, receives one line per message sent and
@@ -458,9 +453,6 @@ func (c *Crawler) pump() {
 		delete(c.queued, ep)
 		rec := c.ips[ep.Addr]
 		if rec != nil && now.Sub(rec.lastContact) < c.cfg.Cooldown {
-			continue
-		}
-		if c.cfg.MaxPerNode > 0 && c.tx.Outstanding(ep) >= c.cfg.MaxPerNode {
 			continue
 		}
 		if rec != nil {

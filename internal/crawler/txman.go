@@ -23,9 +23,8 @@ type Tx struct {
 // TxManager correlates KRPC transactions with the node each query went to.
 // A crawler legitimately has several queries outstanding to the same node at
 // once — a discovery get_nodes and a verification bt_ping, or pings to two
-// ports of one NATed address — so correlation is per transaction, with a
-// per-node outstanding count layered on top for politeness bounds and
-// in-flight accounting (the fleet's bounded in-flight request queue).
+// ports of one NATed address — so correlation is per transaction, and the
+// outstanding count is the fleet's bounded in-flight request queue.
 //
 // It also owns the late-reply window: transactions whose query timed out are
 // remembered (bounded, FIFO-evicted) so a response straggling in afterwards
@@ -36,7 +35,6 @@ type Tx struct {
 // sockets serialise through the swarm mutex).
 type TxManager struct {
 	pending map[string]*Tx
-	perNode map[netsim.Endpoint]int
 	lateTx  map[string]netsim.Endpoint
 	// lateOrder is the late window's FIFO eviction order.
 	lateOrder []string
@@ -51,7 +49,6 @@ func NewTxManager(lateWindow int) *TxManager {
 	}
 	return &TxManager{
 		pending: make(map[string]*Tx),
-		perNode: make(map[netsim.Endpoint]int),
 		lateTx:  make(map[string]netsim.Endpoint),
 		lateMax: lateWindow,
 	}
@@ -60,7 +57,6 @@ func NewTxManager(lateWindow int) *TxManager {
 // Register adds a freshly sent query to the outstanding set.
 func (m *TxManager) Register(t *Tx) {
 	m.pending[t.ID] = t
-	m.perNode[t.To]++
 }
 
 // Get returns the outstanding transaction without resolving it (retry and
@@ -71,28 +67,26 @@ func (m *TxManager) Get(id string) (*Tx, bool) {
 }
 
 // Resolve removes a transaction whose response arrived, cancelling its
-// deadline timer and releasing its per-node slot.
+// deadline timer.
 func (m *TxManager) Resolve(id string) (*Tx, bool) {
 	t, ok := m.pending[id]
 	if !ok {
 		return nil, false
 	}
 	delete(m.pending, id)
-	m.releaseNode(t.To)
 	t.Stop()
 	return t, true
 }
 
 // Fail removes a transaction whose deadline passed with every retry
-// exhausted (the timer has already fired, so no Stop), releases its
-// per-node slot, and remembers it in the late-reply window.
+// exhausted (the timer has already fired, so no Stop) and remembers it in
+// the late-reply window.
 func (m *TxManager) Fail(id string) (*Tx, bool) {
 	t, ok := m.pending[id]
 	if !ok {
 		return nil, false
 	}
 	delete(m.pending, id)
-	m.releaseNode(t.To)
 	if len(m.lateOrder) >= m.lateMax {
 		delete(m.lateTx, m.lateOrder[0])
 		m.lateOrder = m.lateOrder[1:]
@@ -116,10 +110,6 @@ func (m *TxManager) ResolveLate(id string) (netsim.Endpoint, bool) {
 // bounded in-flight queue consults it before admitting new sends.
 func (m *TxManager) InFlight() int { return len(m.pending) }
 
-// Outstanding returns how many queries are currently outstanding to one
-// node — the per-node correlation count.
-func (m *TxManager) Outstanding(ep netsim.Endpoint) int { return m.perNode[ep] }
-
 // CancelAll stops every outstanding deadline and clears the manager; the
 // late window is kept (a stopping crawler still counts stragglers).
 func (m *TxManager) CancelAll() {
@@ -127,13 +117,4 @@ func (m *TxManager) CancelAll() {
 		t.Stop()
 	}
 	m.pending = make(map[string]*Tx)
-	m.perNode = make(map[netsim.Endpoint]int)
-}
-
-func (m *TxManager) releaseNode(ep netsim.Endpoint) {
-	if n := m.perNode[ep]; n <= 1 {
-		delete(m.perNode, ep)
-	} else {
-		m.perNode[ep] = n - 1
-	}
 }

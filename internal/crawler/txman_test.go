@@ -21,9 +21,6 @@ func TestTxManagerRegisterResolve(t *testing.T) {
 	if got := m.InFlight(); got != 2 {
 		t.Fatalf("InFlight = %d, want 2", got)
 	}
-	if got := m.Outstanding(ep); got != 2 {
-		t.Fatalf("Outstanding = %d, want 2 (two concurrent queries to one node)", got)
-	}
 	if tx, ok := m.Get("aa"); !ok || tx.ID != "aa" {
 		t.Fatalf("Get(aa) = %v, %v", tx, ok)
 	}
@@ -35,8 +32,8 @@ func TestTxManagerRegisterResolve(t *testing.T) {
 	if stopped != 1 {
 		t.Fatalf("Resolve did not cancel the deadline: stopped = %d", stopped)
 	}
-	if m.InFlight() != 1 || m.Outstanding(ep) != 1 {
-		t.Fatalf("after resolve: inflight %d outstanding %d, want 1/1", m.InFlight(), m.Outstanding(ep))
+	if m.InFlight() != 1 {
+		t.Fatalf("after resolve: inflight %d, want 1", m.InFlight())
 	}
 	if _, ok := m.Resolve("aa"); ok {
 		t.Fatal("double Resolve succeeded")
@@ -59,8 +56,8 @@ func TestTxManagerFailFeedsLateWindow(t *testing.T) {
 	if stopped != 0 {
 		t.Fatal("Fail must not Stop: the deadline timer already fired")
 	}
-	if m.InFlight() != 0 || m.Outstanding(ep) != 0 {
-		t.Fatalf("failed tx still accounted: inflight %d outstanding %d", m.InFlight(), m.Outstanding(ep))
+	if m.InFlight() != 0 {
+		t.Fatalf("failed tx still accounted: inflight %d", m.InFlight())
 	}
 
 	to, ok := m.ResolveLate("aa")
@@ -120,7 +117,7 @@ func TestTxManagerCancelAll(t *testing.T) {
 	if stopped != 2 {
 		t.Fatalf("CancelAll stopped %d deadlines, want 2", stopped)
 	}
-	if m.InFlight() != 0 || m.Outstanding(ep1) != 0 || m.Outstanding(ep2) != 0 {
+	if m.InFlight() != 0 {
 		t.Fatalf("CancelAll left accounting: inflight %d", m.InFlight())
 	}
 	// The late window survives shutdown so stragglers still count.
