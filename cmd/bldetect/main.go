@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/ripeatlas"
 )
 
@@ -81,11 +82,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bldetect:", err)
 			return 1
 		}
-		fmt.Fprintf(out, "# dynamic prefixes detected by bldetect (threshold %d)\n", res.KneeThreshold)
-		for _, p := range res.DynamicPrefixes.Sorted() {
-			fmt.Fprintln(out, p)
+		header := fmt.Sprintf("dynamic prefixes detected by bldetect (threshold %d)", res.KneeThreshold)
+		err = blocklist.WritePrefixList(out, res.DynamicPrefixes.Sorted(), header)
+		if cerr := out.Close(); err == nil {
+			err = cerr
 		}
-		if err := out.Close(); err != nil {
+		if err != nil {
 			fmt.Fprintln(stderr, "bldetect:", err)
 			return 1
 		}

@@ -47,9 +47,10 @@ func TestRunNonexistentLogs(t *testing.T) {
 
 // TestRunDetectsFromGeneratedLogs writes a tiny world's RIPE connection log
 // and runs the full detection pipeline over it through the CLI surface.
-func TestRunDetectsFromGeneratedLogs(t *testing.T) {
+// generatedLogs writes a small generated world's RIPE logs under dir.
+func generatedLogs(t *testing.T, dir string) string {
+	t.Helper()
 	w := blgen.Generate(blgen.TestParams(1))
-	dir := t.TempDir()
 	logs := filepath.Join(dir, "logs.csv")
 	f, err := os.Create(logs)
 	if err != nil {
@@ -61,7 +62,12 @@ func TestRunDetectsFromGeneratedLogs(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return logs
+}
 
+func TestRunDetectsFromGeneratedLogs(t *testing.T) {
+	dir := t.TempDir()
+	logs := generatedLogs(t, dir)
 	prefixes := filepath.Join(dir, "prefixes.txt")
 	var out, errb bytes.Buffer
 	if code := run([]string{"-logs", logs, "-prefixes-out", prefixes}, &out, &errb); code != 0 {
@@ -78,5 +84,24 @@ func TestRunDetectsFromGeneratedLogs(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "# dynamic prefixes detected by bldetect") {
 		t.Errorf("prefixes file missing header:\n%s", data)
+	}
+}
+
+// TestRunPrefixesOutWriteError: a -prefixes-out write that fails (a full
+// device) is a runtime failure, not a "wrote N prefixes" success.
+func TestRunPrefixesOutWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	logs := generatedLogs(t, t.TempDir())
+	var out, errb bytes.Buffer
+	if code := run([]string{"-logs", logs, "-prefixes-out", "/dev/full"}, &out, &errb); code != 1 {
+		t.Fatalf("write to /dev/full exited %d, want 1\nstdout: %s", code, out.String())
+	}
+	if strings.Contains(out.String(), "wrote ") {
+		t.Errorf("failed write reported as written:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "no space left") {
+		t.Errorf("stderr does not name the write error:\n%s", errb.String())
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -145,16 +146,22 @@ func generate(out string, seed int64, scale float64, days int, stdout io.Writer)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(gt, "# ground truth for seed=%d scale=%g\n", seed, scale)
-	fmt.Fprintf(gt, "# nat <public-addr> <total-users> <bt-users> <restricted>\n")
+	bw := bufio.NewWriter(gt)
+	fmt.Fprintf(bw, "# ground truth for seed=%d scale=%g\n", seed, scale)
+	fmt.Fprintf(bw, "# nat <public-addr> <total-users> <bt-users> <restricted>\n")
 	for _, n := range w.NATs {
-		fmt.Fprintf(gt, "nat %s %d %d %v\n", n.Addr, n.TotalUsers, n.BTUsers, n.Restricted)
+		fmt.Fprintf(bw, "nat %s %d %d %v\n", n.Addr, n.TotalUsers, n.BTUsers, n.Restricted)
 	}
-	fmt.Fprintf(gt, "# dynamic-pool <prefix> (daily-or-faster reallocation)\n")
+	fmt.Fprintf(bw, "# dynamic-pool <prefix> (daily-or-faster reallocation)\n")
 	for _, p := range w.TrueFastDynamic.Sorted() {
-		fmt.Fprintf(gt, "dynamic-pool %s\n", p)
+		fmt.Fprintf(bw, "dynamic-pool %s\n", p)
 	}
-	if err := gt.Close(); err != nil {
+	// bufio keeps the first write error; Flush reports it.
+	err = bw.Flush()
+	if cerr := gt.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote ground truth (%d NATs, %d fast pools) to %s\n",

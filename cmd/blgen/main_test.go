@@ -66,3 +66,27 @@ func TestRunWritesDatasets(t *testing.T) {
 		t.Errorf("ground truth lists no NAT gateways:\n%.200s", gt)
 	}
 }
+
+// TestRunGroundTruthWriteError: a ground-truth write that fails (the file
+// is a symlink to a full device) is a runtime failure, not a "wrote ground
+// truth" success.
+func TestRunGroundTruthWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "ground-truth.txt")); err != nil {
+		t.Skip("cannot symlink:", err)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{"-out", dir, "-seed", "1", "-scale", "0.05", "-days", "1"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("write to /dev/full exited %d, want 1\nstdout: %s", code, out.String())
+	}
+	if strings.Contains(out.String(), "wrote ground truth") {
+		t.Errorf("failed write reported as written:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "no space left") {
+		t.Errorf("stderr does not name the write error:\n%s", errb.String())
+	}
+}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
+	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
@@ -21,8 +21,7 @@ type ArtifactSink struct {
 	// the counterpart of blocklist.WriteNATedList's header argument.
 	NATedHeader string
 	// NATedList receives successive windows of the rendered NATed-address
-	// list ("addr<TAB>users" lines, user bounds clamped to the confirmation
-	// minimum of 2).
+	// list (blocklist.AppendNATedLine lines).
 	NATedList func(chunk []byte) error
 	// ObservedIPs receives successive windows of the observed-address list,
 	// one dotted-quad address per line.
@@ -50,14 +49,7 @@ func (s *Study) StreamArtifacts(sink ArtifactSink, window int) error {
 		}
 		n := 0
 		for _, o := range s.NATed {
-			users := o.Users
-			if users < 2 {
-				users = 2
-			}
-			buf = o.Addr.AppendText(buf)
-			buf = append(buf, '\t')
-			buf = strconv.AppendInt(buf, int64(users), 10)
-			buf = append(buf, '\n')
+			buf = blocklist.AppendNATedLine(buf, o.Addr, o.Users)
 			if n++; n == window {
 				if err := sink.NATedList(buf); err != nil {
 					return fmt.Errorf("core: streaming NATed list: %w", err)

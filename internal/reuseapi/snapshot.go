@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
@@ -167,7 +168,7 @@ func renderListSegments(generated time.Time, sorted []iputil.Addr) []bodySegment
 func renderAddrRun(addrs []iputil.Addr) []byte {
 	buf := make([]byte, 0, len(addrs)*16)
 	for _, a := range addrs {
-		buf = appendAddr(buf, a)
+		buf = a.AppendText(buf)
 		buf = append(buf, '\n')
 	}
 	return buf
@@ -200,9 +201,7 @@ func renderPrefixesSegments(generated time.Time, sorted []iputil.Prefix) []bodyS
 // renderPrefixRun renders one CIDR per line.
 func renderPrefixRun(ps []iputil.Prefix) []byte {
 	var buf bytes.Buffer
-	for _, p := range ps {
-		fmt.Fprintln(&buf, p)
-	}
+	blocklist.WritePrefixList(&buf, ps, "") // a bytes.Buffer write cannot fail
 	return buf.Bytes()
 }
 
@@ -354,7 +353,7 @@ func (s *Snapshot) appendVerdict(buf []byte, addr iputil.Addr) []byte {
 	cp, dynamic := s.prefixes.Lookup(addr)
 
 	buf = append(buf, `{"ip":"`...)
-	buf = appendAddr(buf, addr)
+	buf = addr.AppendText(buf)
 	buf = append(buf, `","reused":`...)
 	buf = strconv.AppendBool(buf, nated || dynamic)
 	buf = append(buf, `,"nated":`...)
@@ -381,17 +380,6 @@ func (s *Snapshot) appendVerdict(buf []byte, addr iputil.Addr) []byte {
 	}
 	buf = append(buf, '"', '}', '\n')
 	return buf
-}
-
-// appendAddr appends dotted-quad notation without allocating.
-func appendAddr(buf []byte, a iputil.Addr) []byte {
-	buf = strconv.AppendUint(buf, uint64(a>>24), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a>>16&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a>>8&0xff), 10)
-	buf = append(buf, '.')
-	return strconv.AppendUint(buf, uint64(a&0xff), 10)
 }
 
 // verdictBufPool recycles the per-request verdict buffers so the check hot
