@@ -1,7 +1,6 @@
 package blocklist
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,7 +37,7 @@ func FuzzParseNATedList(f *testing.F) {
 // FuzzParsePrefixList drives the prefix-list parser — blserve -dynamic
 // reads bldetect's -prefixes-out from disk — with arbitrary bytes. It must
 // never panic, and any list it accepts must come back as the same set after
-// rendering one prefix per line.
+// WritePrefixList renders it.
 func FuzzParsePrefixList(f *testing.F) {
 	for _, seed := range []string{prefixListInput, badPrefixList, "", "10.0.0.7/24\n0.0.0.0/0\n", "1.2.3.4/32 # x\n"} {
 		f.Add(seed)
@@ -49,8 +48,8 @@ func FuzzParsePrefixList(f *testing.F) {
 			return
 		}
 		var out strings.Builder
-		for _, p := range ps.Sorted() {
-			fmt.Fprintf(&out, "%s\n", p)
+		if err := WritePrefixList(&out, ps.Sorted(), "round trip"); err != nil {
+			t.Fatal(err)
 		}
 		back, err := ParsePrefixList(strings.NewReader(out.String()))
 		if err != nil {

@@ -118,3 +118,23 @@ func TestWriteNATedListPropagatesWriterErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePrefixListPropagatesWriterErrors: the same contract for the
+// prefix list bldetect writes and blserve -dynamic reads.
+func TestWritePrefixListPropagatesWriterErrors(t *testing.T) {
+	var prefixes []iputil.Prefix
+	for i := 0; i < 64; i++ {
+		prefixes = append(prefixes, iputil.MustParsePrefix(fmt.Sprintf("100.64.%d.0/24", i)))
+	}
+	var full bytes.Buffer
+	if err := blocklist.WritePrefixList(&full, prefixes, "error propagation"); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	for cap := 0; cap < full.Len(); cap += 97 {
+		err := blocklist.WritePrefixList(&failAfterWriter{n: cap, fail: boom}, prefixes, "error propagation")
+		if !errors.Is(err, boom) {
+			t.Fatalf("writer failing after %d bytes: WritePrefixList returned %v, want the writer's error", cap, err)
+		}
+	}
+}
